@@ -1,9 +1,10 @@
 // Microbenchmarks (google-benchmark): the substrate hot paths — wire codec,
-// zone lookup, caches, selection, and the event loop. Not a paper figure;
-// documents the cost profile of the library.
+// zone lookup and Responder answers, caches, selection, and the event
+// loop. Not a paper figure; documents the cost profile of the library.
 #include <benchmark/benchmark.h>
 
 #include "authns/query_engine.hpp"
+#include "authns/responder.hpp"
 #include "dnscore/codec.hpp"
 #include "net/network.hpp"
 #include "resolver/infra_cache.hpp"
@@ -64,25 +65,97 @@ void BM_NameCompare(benchmark::State& state) {
 }
 BENCHMARK(BM_NameCompare);
 
-void BM_ZoneLookup(benchmark::State& state) {
-  authns::Zone zone{dns::Name::parse("nl")};
+// The branches real traffic takes through QueryEngine::lookup: an exact
+// answer, a wildcard TXT (every cache-busting campaign probe), a root
+// referral with glue and a root NXDOMAIN (the production junk TLDs).
+enum Branch : int { kExact, kWildcardTxt, kRootReferral, kRootNxDomain };
+
+void add_apex(authns::Zone& zone) {
   dns::SoaRdata soa;
+  soa.mname = zone.origin().prefixed("ns1");
+  soa.rname = zone.origin().prefixed("hostmaster");
+  soa.minimum = 60;
   zone.add({zone.origin(), dns::RRClass::IN, 3600, soa});
   zone.add({zone.origin(), dns::RRClass::IN, 3600,
-            dns::NsRdata{dns::Name::parse("ns1.dns.nl")}});
-  for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
-    zone.add({dns::Name::parse("host" + std::to_string(i) + ".nl"),
-              dns::RRClass::IN, 3600,
-              dns::ARdata{net::IpAddress{static_cast<std::uint32_t>(i)}}});
+            dns::NsRdata{zone.origin().prefixed("ns1")}});
+  zone.add({zone.origin().prefixed("ns1"), dns::RRClass::IN, 3600,
+            dns::ARdata{net::IpAddress::from_octets(10, 0, 0, 1)}});
+}
+
+// A zone with `owners` names for the branch, and a question that takes it.
+std::pair<authns::Zone, dns::Question> branch_zone(int branch, int owners) {
+  const bool root = branch == kRootReferral || branch == kRootNxDomain;
+  authns::Zone zone{root ? dns::Name{}
+                         : dns::Name::parse(branch == kExact
+                                                ? "nl"
+                                                : "ourtestdomain.nl")};
+  add_apex(zone);
+  for (int i = 0; i < owners; ++i) {
+    const auto ip = net::IpAddress{static_cast<std::uint32_t>(i)};
+    if (root) {
+      // A TLD delegation with in-bailiwick glue.
+      const auto tld = dns::Name::parse("tld" + std::to_string(i));
+      zone.add({tld, dns::RRClass::IN, 172800,
+                dns::NsRdata{tld.prefixed("ns1")}});
+      zone.add({tld.prefixed("ns1"), dns::RRClass::IN, 172800,
+                dns::ARdata{ip}});
+    } else {
+      zone.add({zone.origin().prefixed("host" + std::to_string(i)),
+                dns::RRClass::IN, 3600, dns::ARdata{ip}});
+    }
   }
+  if (branch == kWildcardTxt) {
+    zone.add({zone.origin().prefixed("*"), dns::RRClass::IN, 5,
+              dns::TxtRdata{{"FRA"}}});
+  }
+  const char* qname = "host7.nl";
+  dns::RRType qtype = dns::RRType::A;
+  if (branch == kWildcardTxt) {
+    qname = "q1234x7.ourtestdomain.nl";
+    qtype = dns::RRType::TXT;
+  } else if (branch == kRootReferral) {
+    qname = "www.example.tld7";
+  } else if (branch == kRootNxDomain) {
+    qname = "junk5fe1a9";
+  }
+  return {std::move(zone),
+          dns::Question{dns::Name::parse(qname), qtype, dns::RRClass::IN}};
+}
+
+void BM_ZoneLookup(benchmark::State& state) {
+  const auto [zone, q] = branch_zone(static_cast<int>(state.range(1)),
+                                     static_cast<int>(state.range(0)));
   const authns::QueryEngine engine{zone};
-  const dns::Question q{dns::Name::parse("host7.nl"), dns::RRType::A,
-                        dns::RRClass::IN};
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.lookup(q));
   }
 }
-BENCHMARK(BM_ZoneLookup)->Arg(100)->Arg(10'000);
+BENCHMARK(BM_ZoneLookup)
+    ->ArgNames({"owners", "branch"})
+    ->ArgsProduct({{100, 10'000},
+                   {kExact, kWildcardTxt, kRootReferral, kRootNxDomain}});
+
+// Responder::answer end to end — zone choice, lookup, EDNS echo and the
+// UDP size check's encode — over a root and a test-domain zone.
+void BM_ResponderAnswer(benchmark::State& state) {
+  const int branch = static_cast<int>(state.range(0));
+  authns::Responder responder{authns::ResponderConfig{}};
+  responder.add_zone(branch_zone(kRootReferral, 100).first);
+  auto [test_zone, q] = branch_zone(branch, 100);
+  if (branch == kWildcardTxt) responder.add_zone(std::move(test_zone));
+  dns::Message query = dns::Message::make_query(4321, q.qname, q.qtype);
+  query.edns = dns::EdnsInfo{};
+  for (auto _ : state) {
+    net::WireBuffer wire;
+    benchmark::DoNotOptimize(responder.answer(query, false, &wire));
+    benchmark::DoNotOptimize(wire);
+  }
+}
+BENCHMARK(BM_ResponderAnswer)
+    ->ArgName("branch")
+    ->Arg(kWildcardTxt)
+    ->Arg(kRootReferral)
+    ->Arg(kRootNxDomain);
 
 void BM_RecordCachePutGet(benchmark::State& state) {
   resolver::RecordCache cache;

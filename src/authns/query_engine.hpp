@@ -37,7 +37,6 @@ class QueryEngine {
   [[nodiscard]] LookupResult lookup(const dns::Question& q) const;
 
  private:
-  void answer_from_rrset(LookupResult& out, const dns::RRset& set) const;
   void add_referral(LookupResult& out, const dns::RRset& delegation) const;
   void add_negative(LookupResult& out) const;
 

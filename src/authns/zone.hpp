@@ -1,17 +1,16 @@
 // Authoritative zone storage.
 //
-// A Zone holds the RRsets of one zone cut, indexed by owner name and type,
-// in canonical name order (so delegations and wildcard owners can be found
-// by ancestor walks). Mirrors what NSD loads from a master file.
+// A Zone holds the RRsets of one zone cut in a node index: one node per
+// owner name and per empty non-terminal, keyed by its parent node and its
+// own lower-cased label. A query name is matched in one apex-down walk over
+// its labels, building no Name. Mirrors what NSD loads from a master file.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <optional>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
-#include "dnscore/name_table.hpp"
 #include "dnscore/record.hpp"
 #include "dnscore/zonefile.hpp"
 
@@ -28,13 +27,6 @@ class Zone {
   /// An empty zone rooted at `origin`. Records are added with add().
   explicit Zone(Name origin, RRClass rrclass = RRClass::IN);
 
-  // Copies rebuild the interned-name index (it points into names_); moves
-  // keep it — std::map moves preserve its nodes, so the pointers survive.
-  Zone(const Zone& o);
-  Zone& operator=(const Zone& o);
-  Zone(Zone&&) noexcept = default;
-  Zone& operator=(Zone&&) noexcept = default;
-
   /// Loads a zone from master-file text. The zone origin is `origin`
   /// unless the text overrides it with $ORIGIN before the first record.
   static Zone from_text(Name origin, std::string_view master_text,
@@ -43,9 +35,26 @@ class Zone {
   [[nodiscard]] const Name& origin() const noexcept { return origin_; }
   [[nodiscard]] RRClass rrclass() const noexcept { return rrclass_; }
 
-  /// Adds one record. Throws std::invalid_argument if the owner is outside
-  /// the zone or the class mismatches.
+  /// Adds one record; an exact duplicate is dropped (RFC 2181 §5), though
+  /// the RRset still takes the minimum TTL. Throws std::invalid_argument if
+  /// the owner is outside the zone or the class mismatches.
   void add(ResourceRecord rr);
+
+  /// What the walk over a name finds (RFC 1034 §4.3.2-4.3.3).
+  struct Match {
+    /// The shallowest delegation NS set strictly below the apex, at or
+    /// above the name: the name is cut away when this is set.
+    const RRset* cut = nullptr;
+    /// The name owns RRsets or is an empty non-terminal.
+    bool exists = false;
+    /// The RRsets at the name (nullptr for an empty non-terminal).
+    const std::vector<RRset>* exact = nullptr;
+    /// A name that does not exist: the RRsets of "*.<closest encloser>".
+    const std::vector<RRset>* wildcard = nullptr;
+  };
+
+  /// Matches `qname` in one walk; a name outside the zone matches nothing.
+  [[nodiscard]] Match match(const Name& qname) const;
 
   /// The RRset at (name, type), or nullptr.
   [[nodiscard]] const RRset* find(const Name& name, RRType type) const;
@@ -53,32 +62,20 @@ class Zone {
   /// All RRsets at a name (nullptr if the name has none).
   [[nodiscard]] const std::vector<RRset>* find_all(const Name& name) const;
 
-  /// True if `name` exists in the zone (has any RRset), or is an empty
-  /// non-terminal (an existing name descends from it).
-  [[nodiscard]] bool name_exists(const Name& name) const;
-
   /// The zone's SOA record; nullopt for a zone still being built.
   [[nodiscard]] std::optional<dns::SoaRdata> soa() const;
-  /// SOA negative-caching TTL (minimum field), per RFC 2308.
-  [[nodiscard]] dns::Ttl negative_ttl() const;
+  /// SOA negative-caching TTL per RFC 2308: the SOA minimum, capped by the
+  /// SOA record's TTL; 300 while the zone has no SOA.
+  [[nodiscard]] dns::Ttl negative_ttl() const noexcept {
+    return negative_ttl_;
+  }
 
   /// The apex NS set.
   [[nodiscard]] const RRset* apex_ns() const;
 
-  /// The closest delegation point strictly between the apex and `name`
-  /// (exclusive of the apex, inclusive of `name` itself), or nullptr.
-  /// A delegation point is a name below the apex owning an NS RRset.
-  [[nodiscard]] const RRset* find_delegation(const Name& name) const;
-
-  /// The wildcard RRset that would synthesize `name` with `type`
-  /// (RFC 1034 §4.3.3): checks "*.<closest-encloser>". Returns nullptr if
-  /// no wildcard applies.
-  [[nodiscard]] const RRset* find_wildcard(const Name& name,
-                                           RRType type) const;
-
-  /// Glue lookup: A/AAAA records for `target` if present in zone data
-  /// (used to stuff the additional section of referrals and NS answers).
-  [[nodiscard]] std::vector<ResourceRecord> glue_for(const Name& target) const;
+  /// Glue lookup: appends the A/AAAA records of `target`, if in zone data,
+  /// to `out` (the additional section of referrals and NS answers).
+  void glue_for(const Name& target, std::vector<ResourceRecord>& out) const;
 
   /// Sanity checks NSD performs at load: SOA present at apex, at least one
   /// apex NS, CNAME not mixed with other data at a name. Returns a list of
@@ -88,30 +85,36 @@ class Zone {
   [[nodiscard]] std::size_t rrset_count() const noexcept;
   [[nodiscard]] std::size_t record_count() const noexcept;
 
-  /// Iteration over owner names in canonical order, for diagnostics.
-  [[nodiscard]] std::vector<Name> owner_names() const;
-
   /// Every record in canonical owner order — the AXFR payload.
   [[nodiscard]] std::vector<ResourceRecord> all_records() const;
 
  private:
-  struct NameCompare {
-    bool operator()(const Name& a, const Name& b) const {
-      return a.compare(b) < 0;
-    }
+  static constexpr std::uint32_t kNone = 0xffffffffU;
+
+  // Nodes refer to each other by index, so copies and moves need no fix-up.
+  struct Node {
+    std::uint64_t key = 0;           // hash of (parent, lower-cased label)
+    std::uint32_t parent = kNone;    // kNone for the apex
+    std::uint32_t spelled = kNone;   // an owner at or below this node, whose
+                                     // name supplies this node's label
+    std::uint32_t wildcard = kNone;  // the owner node "*.<this name>"
+    std::uint16_t depth = 0;         // label count of this node's name
+    bool cut = false;                // owns NS below the apex
+    std::vector<RRset> sets;         // empty for an empty non-terminal
   };
 
-  void rebuild_index();
+  [[nodiscard]] std::uint32_t child(std::uint32_t parent, std::uint64_t key,
+                                    const std::string& label) const;
+  std::uint32_t insert(const Name& owner);
+  [[nodiscard]] std::vector<std::uint32_t> canonical_owners() const;
 
   Name origin_;
   RRClass rrclass_;
-  std::map<Name, std::vector<RRset>, NameCompare> names_;
-  // Exact-match fast path: owner names are interned once at add() time and
-  // the per-query lookup is one hash probe + 32-bit id compare instead of
-  // an O(log n) walk of label-by-label compares. names_ stays the source
-  // of truth (and keeps canonical order for the ancestor/ENT walks).
-  dns::NameTable owners_;
-  std::unordered_map<std::uint32_t, std::vector<RRset>*> by_ref_;
+  dns::Ttl negative_ttl_ = 300;
+  std::vector<Node> nodes_;  // nodes_[0] is the apex
+  // Open-addressed child index of node + 1 (0 = empty), linear probing, at
+  // most half full. The apex is nobody's child, so it is not in it.
+  std::vector<std::uint32_t> slots_;
 };
 
 }  // namespace recwild::authns

@@ -2,11 +2,11 @@
 //
 // A NameTable assigns every distinct name (case-insensitively, matching
 // Name::equals) a dense 32-bit id. Hot paths that repeatedly compare the
-// same names — zone exact-match lookups, matching upstream responses to
-// outstanding queries — intern once and then compare NameRef ids instead
-// of walking label vectors. Tables are plain members of whatever owns the
-// hot path (a Zone, a resolver); there is deliberately no global table, so
-// ids never cross threads and shard workers stay independent.
+// same names — matching upstream responses to outstanding queries — intern
+// once and then compare NameRef ids instead of walking label vectors.
+// Tables are plain members of whatever owns the hot path (a resolver);
+// there is deliberately no global table, so ids never cross threads and
+// shard workers stay independent.
 //
 // Storage is a dense Name vector plus a flat open-addressed id index (no
 // node allocations, one Name copy per distinct name ever).

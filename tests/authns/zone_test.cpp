@@ -97,36 +97,50 @@ TEST(Zone, RejectsClassMismatch) {
 
 TEST(Zone, NameExistsIncludesEmptyNonTerminals) {
   const Zone z = make_zone();
-  EXPECT_TRUE(z.name_exists(dns::Name::parse("www.example.nl")));
+  const auto www = z.match(dns::Name::parse("www.example.nl"));
+  EXPECT_TRUE(www.exists);
+  ASSERT_NE(www.exact, nullptr);
+  EXPECT_EQ(www.exact->size(), 1u);
   // b.c.example.nl has no records but a.b.c.example.nl exists below it.
-  EXPECT_TRUE(z.name_exists(dns::Name::parse("b.c.example.nl")));
-  EXPECT_TRUE(z.name_exists(dns::Name::parse("c.example.nl")));
-  EXPECT_FALSE(z.name_exists(dns::Name::parse("zzz.example.nl")));
+  for (const char* ent : {"b.c.example.nl", "C.Example.NL"}) {
+    const auto m = z.match(dns::Name::parse(ent));
+    EXPECT_TRUE(m.exists) << ent;
+    EXPECT_EQ(m.exact, nullptr) << ent;
+  }
+  EXPECT_FALSE(z.match(dns::Name::parse("zzz.example.nl")).exists);
+  EXPECT_FALSE(z.match(dns::Name::parse("www.other.org")).exists);
 }
 
 TEST(Zone, FindDelegationBelowApex) {
   const Zone z = make_zone();
-  const auto* cut =
-      z.find_delegation(dns::Name::parse("deep.child.example.nl"));
+  const auto* cut = z.match(dns::Name::parse("deep.child.example.nl")).cut;
   ASSERT_NE(cut, nullptr);
   EXPECT_EQ(cut->name, dns::Name::parse("child.example.nl"));
-  // The delegation point itself is also under the cut.
-  EXPECT_NE(z.find_delegation(dns::Name::parse("child.example.nl")),
+  // The delegation point itself is also under the cut, and glue below the
+  // cut is still reachable for referrals.
+  EXPECT_NE(z.match(dns::Name::parse("child.example.nl")).cut, nullptr);
+  EXPECT_NE(z.find(dns::Name::parse("ns1.child.example.nl"), dns::RRType::A),
             nullptr);
 }
 
 TEST(Zone, ApexNsIsNotADelegation) {
   const Zone z = make_zone();
-  EXPECT_EQ(z.find_delegation(dns::Name::parse("www.example.nl")), nullptr);
-  EXPECT_EQ(z.find_delegation(z.origin()), nullptr);
+  EXPECT_EQ(z.match(dns::Name::parse("www.example.nl")).cut, nullptr);
+  const auto apex = z.match(z.origin());
+  EXPECT_EQ(apex.cut, nullptr);
+  EXPECT_TRUE(apex.exists);
 }
 
 TEST(Zone, WildcardMatchesUncoveredNames) {
   const Zone z = make_zone();
-  const auto* wc = z.find_wildcard(
-      dns::Name::parse("anything.wild.example.nl"), dns::RRType::TXT);
-  ASSERT_NE(wc, nullptr);
-  EXPECT_EQ(wc->type, dns::RRType::TXT);
+  const auto m = z.match(dns::Name::parse("anything.wild.example.nl"));
+  EXPECT_FALSE(m.exists);
+  ASSERT_NE(m.wildcard, nullptr);
+  ASSERT_EQ(m.wildcard->size(), 1u);
+  EXPECT_EQ(m.wildcard->front().type, dns::RRType::TXT);
+  // The closest encloser is wild.example.nl even several labels down.
+  EXPECT_EQ(z.match(dns::Name::parse("a.b.c.d.wild.example.nl")).wildcard,
+            m.wildcard);
 }
 
 TEST(Zone, WildcardDoesNotShadowExistingNames) {
@@ -137,26 +151,31 @@ TEST(Zone, WildcardDoesNotShadowExistingNames) {
                             dns::TxtRdata{{"wild"}}});
   z.add(dns::ResourceRecord{dns::Name::parse("real.x.nl"), dns::RRClass::IN,
                             5, dns::ARdata{net::IpAddress{1}}});
-  // real.x.nl exists; wildcard must not apply to it (engine checks
-  // existence first — find_wildcard is only called for nonexistent names).
-  const auto* wc =
-      z.find_wildcard(dns::Name::parse("other.x.nl"), dns::RRType::TXT);
-  EXPECT_NE(wc, nullptr);
+  EXPECT_NE(z.match(dns::Name::parse("other.x.nl")).wildcard, nullptr);
+  const auto real = z.match(dns::Name::parse("real.x.nl"));
+  EXPECT_TRUE(real.exists);
+  EXPECT_EQ(real.wildcard, nullptr);
 }
 
 TEST(Zone, WildcardWrongTypeGivesNull) {
+  // The wildcard only offers its own types; the engine picks the qtype.
   const Zone z = make_zone();
-  EXPECT_EQ(z.find_wildcard(dns::Name::parse("anything.wild.example.nl"),
-                            dns::RRType::A),
-            nullptr);
+  const auto m = z.match(dns::Name::parse("anything.wild.example.nl"));
+  ASSERT_NE(m.wildcard, nullptr);
+  for (const auto& s : *m.wildcard) EXPECT_NE(s.type, dns::RRType::A);
+  // No wildcard at the apex: an unknown name directly below it has none.
+  EXPECT_EQ(z.match(dns::Name::parse("nope.example.nl")).wildcard, nullptr);
 }
 
 TEST(Zone, GlueForReturnsAddresses) {
   const Zone z = make_zone();
-  const auto glue = z.glue_for(dns::Name::parse("ns1.example.nl"));
+  std::vector<dns::ResourceRecord> glue;
+  z.glue_for(dns::Name::parse("ns1.example.nl"), glue);
   ASSERT_EQ(glue.size(), 1u);
   EXPECT_EQ(glue[0].type(), dns::RRType::A);
-  EXPECT_TRUE(z.glue_for(dns::Name::parse("nobody.example.nl")).empty());
+  z.glue_for(dns::Name::parse("nobody.example.nl"), glue);
+  z.glue_for(dns::Name::parse("ns1.other.org"), glue);
+  EXPECT_EQ(glue.size(), 1u);
 }
 
 TEST(Zone, ValidateAcceptsHealthyZone) {
@@ -187,10 +206,9 @@ TEST(Zone, ValidateFlagsCnameAndOtherData) {
 }
 
 TEST(Zone, OwnerNamesInCanonicalOrder) {
-  const Zone z = make_zone();
-  const auto names = z.owner_names();
-  for (std::size_t i = 1; i < names.size(); ++i) {
-    EXPECT_LT(names[i - 1].compare(names[i]), 0);
+  const auto all = make_zone().all_records();
+  for (std::size_t i = 1; i < all.size(); ++i) {
+    EXPECT_LE(all[i - 1].name.compare(all[i].name), 0);
   }
 }
 
@@ -204,6 +222,35 @@ TEST(Zone, MergesRecordsIntoRRsets) {
   ASSERT_NE(set, nullptr);
   EXPECT_EQ(set->size(), 2u);
   EXPECT_EQ(set->ttl, 50u);  // min TTL wins
+}
+
+TEST(Zone, DropsExactDuplicateRecords) {
+  Zone z{dns::Name::parse("x.nl")};
+  const auto h = dns::Name::parse("h.x.nl");
+  z.add(dns::ResourceRecord{h, dns::RRClass::IN, 100,
+                            dns::ARdata{net::IpAddress{1}}});
+  z.add(dns::ResourceRecord{dns::Name::parse("H.X.NL"), dns::RRClass::IN, 50,
+                            dns::ARdata{net::IpAddress{1}}});
+  z.add(dns::ResourceRecord{h, dns::RRClass::IN, 100,
+                            dns::ARdata{net::IpAddress{2}}});
+  const auto* set = z.find(h, dns::RRType::A);
+  ASSERT_NE(set, nullptr);
+  EXPECT_EQ(set->size(), 2u);  // the repeated 1 is dropped
+  EXPECT_EQ(set->ttl, 50u);    // but its lower TTL still counts
+  EXPECT_EQ(z.record_count(), 2u);
+
+  // A master file that lists a record twice answers it once.
+  const Zone text = Zone::from_text(dns::Name::parse("example.nl"), R"(
+@    IN SOA ns1 hostmaster 1 14400 3600 1209600 300
+@    IN NS  ns1
+ns1  IN A   192.0.2.1
+www  IN TXT "once"
+www  IN TXT "once"
+)");
+  const auto* txt = text.find(dns::Name::parse("www.example.nl"),
+                              dns::RRType::TXT);
+  ASSERT_NE(txt, nullptr);
+  EXPECT_EQ(txt->size(), 1u);
 }
 
 }  // namespace

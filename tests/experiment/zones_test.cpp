@@ -32,7 +32,8 @@ TEST(BuildZone, ApexNsAndGlue) {
   const auto* ns = zone.apex_ns();
   ASSERT_NE(ns, nullptr);
   EXPECT_EQ(ns->size(), 2u);
-  const auto glue = zone.glue_for(dns::Name::parse("ns1.dns.nl"));
+  std::vector<dns::ResourceRecord> glue;
+  zone.glue_for(dns::Name::parse("ns1.dns.nl"), glue);
   ASSERT_EQ(glue.size(), 1u);
   EXPECT_EQ(std::get<dns::ARdata>(glue[0].rdata).address,
             net::IpAddress{11});
@@ -74,7 +75,9 @@ TEST(BuildZone, OutOfZoneNsGetsNoGlue) {
   spec.apex_ns = {
       {dns::Name::parse("ns.other.org"), net::IpAddress{31}}};
   const auto zone = build_zone(spec);
-  EXPECT_TRUE(zone.glue_for(dns::Name::parse("ns.other.org")).empty());
+  std::vector<dns::ResourceRecord> glue;
+  zone.glue_for(dns::Name::parse("ns.other.org"), glue);
+  EXPECT_TRUE(glue.empty());
 }
 
 TEST(BuildZone, NegativeTtlConfigurable) {

@@ -9,10 +9,16 @@
 namespace recwild::resolver {
 namespace {
 
+// gtest names each case after the raw bytes of its parameter, so the padding
+// between `policy` and `loss` is spelled out and zeroed: left implicit, it
+// carried stack garbage into the test names and they changed every build.
 struct SweepParam {
+  SweepParam(PolicyKind p, double l) : policy{p}, loss{l} {}
   PolicyKind policy;
+  unsigned char padding[sizeof(double) - sizeof(PolicyKind)]{};
   double loss;
 };
+static_assert(sizeof(SweepParam) == 2 * sizeof(double));
 
 std::string param_name(const ::testing::TestParamInfo<SweepParam>& info) {
   std::string name{to_string(info.param.policy)};
