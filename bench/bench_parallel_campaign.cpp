@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
       for (std::size_t j = 0; j < r.stats.shards.size(); ++j) {
         const auto& s = r.stats.shards[j];
         std::fprintf(f, "%s{\"vps\": %zu, \"wall_s\": %.2f, \"rss_kb\": %zu}",
-                     j > 0 ? ", " : "", s.vps, s.wall_s, s.rss_kb);
+                     j > 0 ? ", " : "", s.units, s.wall_s, s.rss_kb);
       }
       std::fprintf(f, "],\n     \"byte_identical\": %s}%s\n",
                    r.byte_identical ? "true" : "false",

@@ -9,7 +9,10 @@
 #      docs/METRICS.md;
 #   4. no instrumentation site under src/ registers a metric with a raw
 #      string literal — all registrations go through obs::names constants,
-#      so check 1 is exhaustive by construction.
+#      so check 1 is exhaustive by construction;
+#   5. every src/ or tools/ file a metric row cites in its "emitting site"
+#      column contains that metric's obs::names constant, so the column
+#      stays true when code moves between files.
 #
 # Run from the repository root (CI does; ctest registers it as
 # ObsDocs.MetricsDocumented). Exits non-zero with one line per violation.
@@ -61,6 +64,41 @@ if grep -rn --include='*.cpp' --include='*.hpp' \
         "$root/src" | grep -v 'src/obs/'; then
     echo "raw metric-name literal above: use an obs::names constant" \
          "(and document it in docs/METRICS.md)"
+    fail=1
+fi
+
+# 5. cited emitting-site files must mention the row's constant. Rows are
+# "| `metric.name` | ... |"; the site column is found from each table's
+# header row.
+violations=$(
+    awk -F'|' '
+        !/^\|/ { col = 0; next }
+        /emitting site/ {
+            for (i = 2; i < NF; ++i) if ($i ~ /emitting site/) col = i
+            next
+        }
+        col && $2 ~ /^ `[a-z0-9_]*\.[a-z0-9_.]*` $/ {
+            name = $2; gsub(/[ `]/, "", name)
+            n = split($col, parts, "`")
+            for (i = 2; i <= n; i += 2) {
+                if (parts[i] ~ /^(src|tools)\//) print name, parts[i]
+            }
+        }' "$metrics_md" |
+    while read -r name file; do
+        # The constant whose string value is "name" (the initialiser may
+        # sit on the line after the declaration).
+        const=$(awk -v want="\"$name\"" '
+            match($0, /k[A-Za-z0-9]+ =/) { last = substr($0, RSTART, RLENGTH - 2) }
+            index($0, want) { print last; exit }' "$names_hpp")
+        if [ -z "$const" ] || [ ! -f "$root/$file" ] ||
+           ! grep -q "$const" "$root/$file"; then
+            echo "stale emitting site: $name (${const:-no constant})" \
+                 "cited in $file, which does not mention it"
+        fi
+    done
+)
+if [ -n "$violations" ]; then
+    echo "$violations"
     fail=1
 fi
 

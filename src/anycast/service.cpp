@@ -72,14 +72,6 @@ void AnycastService::stop() {
   for (auto& site : sites_) site.server->stop();
 }
 
-void AnycastService::set_site_down(std::size_t site_index, bool down) {
-  sites_.at(site_index).server->set_down(down);
-}
-
-void AnycastService::set_all_down(bool down) {
-  for (auto& site : sites_) site.server->set_down(down);
-}
-
 RouteControl& AnycastService::route_control() {
   if (!route_) {
     route_ = std::make_unique<RouteControl>(*network_, address_, name_);

@@ -1,30 +1,17 @@
 #include "experiment/campaign.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <exception>
+#include <iterator>
 #include <memory>
-#include <mutex>
-#include <numeric>
 #include <stdexcept>
-#include <thread>
-#include <unordered_map>
 
 #include "attack/generator.hpp"
-#include "experiment/sharding.hpp"
 #include "obs/names.hpp"
-#include "obs/process.hpp"
 
 namespace recwild::experiment {
 
 namespace {
-
-using WallClock = std::chrono::steady_clock;
-
-double wall_seconds(WallClock::duration d) {
-  return std::chrono::duration<double>(d).count();
-}
 
 /// Schedules the attack traffic of world.config().attack for the bot VPs
 /// this shard owns. Bots are the `bots` lowest-index VPs of each event — a
@@ -218,7 +205,14 @@ std::vector<VpObservation> run_campaign_shard(
 }  // namespace
 
 std::vector<std::vector<std::size_t>> campaign_vp_groups(Testbed& testbed) {
-  return testbed.world()->vp_groups;
+  auto groups = testbed.world()->vp_groups;
+  auto& pop = testbed.population();
+  for (auto& group : groups) {
+    std::erase_if(group,
+                  [&pop](std::size_t v) { return pop.by_probe(v) == nullptr; });
+  }
+  std::erase_if(groups, [](const auto& g) { return g.empty(); });
+  return groups;
 }
 
 std::vector<double> campaign_group_weights(
@@ -243,132 +237,49 @@ std::vector<double> campaign_group_weights(
 }
 
 CampaignResult run_campaign(Testbed& testbed, const CampaignConfig& config) {
-  const auto& vps = testbed.population().vps();
-
   CampaignResult result;
   for (const auto& svc : testbed.test_services()) {
     result.service_codes.push_back(svc.name());
   }
 
   CampaignRunStats local_stats;
-  CampaignRunStats& stats =
-      config.run_stats != nullptr ? *config.run_stats : local_stats;
-  stats = CampaignRunStats{};
-
-  std::size_t shards =
-      config.shards != 0
-          ? config.shards
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  shards = std::min(shards, std::max<std::size_t>(1, vps.size()));
-
-  if (shards <= 1) {
-    // By probe id, not position: the caller may itself be a
-    // partition-scoped replica (its vps() are then a sparse subset).
-    std::vector<std::size_t> all;
-    all.reserve(vps.size());
-    for (const auto& vp : vps) all.push_back(vp.probe_id);
-    const auto t0 = WallClock::now();
-    result.vps = run_campaign_shard(testbed, config, all);
-    stats.run_s = wall_seconds(WallClock::now() - t0);
-    stats.shards.push_back(
-        {all.size(), stats.run_s, obs::current_rss_kb()});
-    result.metrics = testbed.sim().metrics().snapshot();
-    return result;
-  }
-
-  const auto t_partition = WallClock::now();
-  const auto& groups = testbed.world()->vp_groups;
-  const auto parts = pack_groups(
-      groups,
-      campaign_group_weights(groups, config, testbed.config().attack),
-      shards);
-  stats.partition_s = wall_seconds(WallClock::now() - t_partition);
-  stats.shards.resize(parts.size());
-
-  // Shard 0 runs on the caller's testbed (keeping its logs/caches useful to
-  // callers, exactly like the serial path); the rest materialize
-  // partition-scoped replicas of the caller's world snapshot — services and
-  // zones shared, only their own VPs' client state instantiated.
-  std::vector<std::vector<VpObservation>> per_shard(parts.size());
-  // Replica shards stream their metric deltas (relative to a post-build
-  // baseline; the caller already carries one copy of the build-phase
-  // contribution, and identically-built worlds give identical baselines)
-  // into one accumulator as they finish, compacted so untouched metrics
-  // ship nothing. Trace events stay per-shard: they are appended to the
-  // caller's trace in shard order, which streaming must not scramble.
-  obs::MetricRegistry accumulator;
-  std::mutex accumulator_mu;
-  std::vector<std::vector<obs::TraceEvent>> shard_events(parts.size());
-  std::exception_ptr error;
-  std::mutex error_mu;
-  const auto t_run = WallClock::now();
-  std::vector<std::thread> workers;
-  workers.reserve(parts.size() - 1);
-  for (std::size_t i = 1; i < parts.size(); ++i) {
-    workers.emplace_back([&testbed, &config, &parts, &per_shard, &stats,
-                          &accumulator, &accumulator_mu, &shard_events,
-                          &error, &error_mu, i] {
-      try {
-        const auto t0 = WallClock::now();
-        Testbed replica{testbed.world(), &parts[i]};
-        replica.sim().sync_obs();  // fold build-time event tallies in
-        const obs::MetricsSnapshot baseline =
-            replica.sim().metrics().snapshot();
-        const std::size_t trace_base = replica.sim().trace().size();
-        per_shard[i] = run_campaign_shard(replica, config, parts[i]);
-        obs::MetricsSnapshot delta =
-            replica.sim().metrics().snapshot().delta_since(baseline);
-        delta.compact();
-        {
-          const std::scoped_lock lock{accumulator_mu};
-          accumulator.merge_sum(delta);
-        }
-        const auto& events = replica.sim().trace().events();
-        shard_events[i].assign(events.begin() + trace_base, events.end());
-        stats.shards[i] = {parts[i].size(),
-                           wall_seconds(WallClock::now() - t0),
-                           obs::current_rss_kb()};
-      } catch (...) {
-        const std::scoped_lock lock{error_mu};
-        if (!error) error = std::current_exception();
-      }
-    });
-  }
-  try {
-    const auto t0 = WallClock::now();
-    per_shard[0] = run_campaign_shard(testbed, config, parts[0]);
-    stats.shards[0] = {parts[0].size(),
-                       wall_seconds(WallClock::now() - t0),
-                       obs::current_rss_kb()};
-  } catch (...) {
-    const std::scoped_lock lock{error_mu};
-    if (!error) error = std::current_exception();
-  }
-  for (auto& w : workers) w.join();
-  stats.run_s = wall_seconds(WallClock::now() - t_run);
-  if (error) std::rethrow_exception(error);
-
-  const auto t_merge = WallClock::now();
-  // Merge back in probe order: output is independent of the partition.
-  result.vps.resize(vps.size());
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    for (std::size_t j = 0; j < parts[i].size(); ++j) {
-      result.vps[parts[i][j]] = std::move(per_shard[i][j]);
-    }
-  }
-  // Fold replica observability into the caller's world. Counters and
-  // histogram bins sum and timestamps take the max — both commutative, so
-  // the streamed accumulator equals the per-shard sequential merge and
-  // matches the serial run exactly; the trace multiset likewise (export
-  // DecisionTrace::canonical() for byte-stable ordering).
-  testbed.sim().metrics().merge_sum(accumulator.snapshot());
-  for (std::size_t i = 1; i < parts.size(); ++i) {
-    for (const auto& event : shard_events[i]) {
-      testbed.sim().trace().record(event);
-    }
-  }
-  result.metrics = testbed.sim().metrics().snapshot();
-  stats.merge_s = wall_seconds(WallClock::now() - t_merge);
+  run_sharded<std::vector<VpObservation>>(
+      testbed,
+      {.shards = config.shards,
+       .units = testbed.population().vps().size(),
+       .partition =
+           [&](std::size_t shards) {
+             const auto groups = campaign_vp_groups(testbed);
+             return pack_groups(
+                 groups,
+                 campaign_group_weights(groups, config,
+                                        testbed.config().attack),
+                 shards);
+           },
+       // Partition-scoped replica: services and zones shared with the
+       // caller's world, only this part's VPs' client state instantiated.
+       .setup =
+           [&](const Part& part) {
+             return std::make_unique<Testbed>(testbed.world(), &part);
+           },
+       .body =
+           [&](Testbed& world, const Part& part) {
+             return run_campaign_shard(world, config, part);
+           },
+       // By probe id: output is independent of the partition.
+       .merge =
+           [&](std::vector<std::vector<VpObservation>>& out) {
+             for (auto& part_obs : out) {
+               std::move(part_obs.begin(), part_obs.end(),
+                         std::back_inserter(result.vps));
+             }
+             std::sort(result.vps.begin(), result.vps.end(),
+                       [](const VpObservation& a, const VpObservation& b) {
+                         return a.probe_id < b.probe_id;
+                       });
+             result.metrics = testbed.sim().metrics().snapshot();
+           }},
+      config.run_stats != nullptr ? *config.run_stats : local_stats);
   return result;
 }
 

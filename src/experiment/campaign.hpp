@@ -17,26 +17,13 @@
 #include <string>
 #include <vector>
 
+#include "experiment/sharding.hpp"
 #include "experiment/testbed.hpp"
 
 namespace recwild::experiment {
 
-/// Wall-clock and memory accounting of one campaign run, for benchmarks
-/// and capacity planning. All times are host wall seconds (never sim
-/// time); rss_kb is the process RSS sampled as each shard finishes — with
-/// threaded shards this is process-wide, so the per-shard samples bound
-/// the run's footprint rather than attribute it exactly.
-struct CampaignRunStats {
-  struct Shard {
-    std::size_t vps = 0;     ///< Vantage points simulated by this shard.
-    double wall_s = 0.0;     ///< Replica materialize + event-loop wall time.
-    std::size_t rss_kb = 0;  ///< Process RSS when the shard finished.
-  };
-  double partition_s = 0.0;  ///< VP grouping + weighted packing.
-  double run_s = 0.0;        ///< Parallel section (spawn to last join).
-  double merge_s = 0.0;      ///< Observation/metrics/trace fold-back.
-  std::vector<Shard> shards; ///< Per shard, shard 0 = the caller's world.
-};
+/// Timing/memory breakdown of one campaign run; shard units are VPs.
+using CampaignRunStats = RunStats;
 
 struct CampaignConfig {
   /// Probing interval (paper: 2 minutes; §4.4 sweeps 5..30).
@@ -91,7 +78,9 @@ CampaignResult run_campaign(Testbed& testbed, const CampaignConfig& config);
 /// forwarders included) always land in the same group, because a shared
 /// recursive's cache and SRTT state couple their observations. Groups are
 /// listed in first-seen VP order; each group lists VP indices ascending.
-/// Precomputed on the world snapshot; exposed for tests and planning.
+/// Precomputed on the world snapshot and restricted to the VPs `testbed`
+/// materializes (all of them unless it is a partition-scoped replica);
+/// exposed for tests and planning.
 std::vector<std::vector<std::size_t>> campaign_vp_groups(Testbed& testbed);
 
 /// Estimated query volume per VP group under `config` — campaign probes

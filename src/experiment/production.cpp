@@ -1,10 +1,6 @@
 #include "experiment/production.hpp"
 
 #include <algorithm>
-#include <exception>
-#include <mutex>
-#include <numeric>
-#include <thread>
 #include <unordered_map>
 
 #include "obs/names.hpp"
@@ -204,31 +200,16 @@ ClientCounts run_production_shard(
   return counts;
 }
 
-/// Deterministic LPT packing of source indices onto `shards` bins, weighted
-/// by each source's expected query rate. Empty bins are dropped.
-std::vector<std::vector<std::size_t>> pack_sources(
-    const std::vector<std::unique_ptr<Source>>& sources, std::size_t shards) {
-  std::vector<std::size_t> order(sources.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&sources](std::size_t a,
-                                                   std::size_t b) {
-    if (sources[a]->rate_per_sec != sources[b]->rate_per_sec) {
-      return sources[a]->rate_per_sec > sources[b]->rate_per_sec;
-    }
-    return a < b;
-  });
-  std::vector<std::vector<std::size_t>> bins(shards);
-  std::vector<double> load(shards, 0.0);
-  for (const std::size_t i : order) {
-    const std::size_t lightest = static_cast<std::size_t>(
-        std::min_element(load.begin(), load.end()) - load.begin());
-    load[lightest] += sources[i]->rate_per_sec;
-    bins[lightest].push_back(i);
-  }
-  std::erase_if(bins, [](const auto& b) { return b.empty(); });
-  for (auto& bin : bins) std::sort(bin.begin(), bin.end());
-  return bins;
-}
+/// A replica part's world: the caller's world snapshot plus live resolvers
+/// for the part's own sources only (declared after the world, so they are
+/// destroyed before it).
+struct SourcedReplica : Testbed {
+  SourcedReplica(const Testbed& caller, const ProductionConfig& config,
+                 const std::vector<std::size_t>& part)
+      : Testbed{caller.world()},
+        sources{build_sources(*this, config, &part)} {}
+  std::vector<std::unique_ptr<Source>> sources;
+};
 
 }  // namespace
 
@@ -264,90 +245,49 @@ ProductionResult run_production(Testbed& testbed,
   std::vector<std::unique_ptr<Source>> sources =
       build_sources(testbed, config);
 
-  std::size_t shards =
-      config.shards != 0
-          ? config.shards
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  shards = std::min(shards, std::max<std::size_t>(1, sources.size()));
-
+  ProductionResult result;
   ClientCounts counts(observed.size());
-  if (shards <= 1) {
-    std::vector<std::size_t> all(sources.size());
-    std::iota(all.begin(), all.end(), 0);
-    counts = run_production_shard(testbed, sources, config, all, observed);
-  } else {
-    const auto parts = pack_sources(sources, shards);
-    std::vector<ClientCounts> per_shard(parts.size());
-    // Replica shards share the caller's world snapshot (zones, catalog,
-    // services planned once) and construct live resolvers only for their
-    // own sources. Metric deltas against a post-build baseline stream into
-    // one accumulator, compacted; trace events stay per-shard so they can
-    // be appended in shard order.
-    obs::MetricRegistry accumulator;
-    std::mutex accumulator_mu;
-    std::vector<std::vector<obs::TraceEvent>> shard_events(parts.size());
-    std::exception_ptr error;
-    std::mutex error_mu;
-    std::vector<std::thread> workers;
-    workers.reserve(parts.size() - 1);
-    for (std::size_t i = 1; i < parts.size(); ++i) {
-      workers.emplace_back([&testbed, &config, &parts, &per_shard,
-                            &accumulator, &accumulator_mu, &shard_events,
-                            &observed, &error, &error_mu, i] {
-        try {
-          Testbed replica{testbed.world()};
-          auto replica_sources =
-              build_sources(replica, config, &parts[i]);
-          replica.sim().sync_obs();  // fold build-time event tallies in
-          const obs::MetricsSnapshot baseline =
-              replica.sim().metrics().snapshot();
-          const std::size_t trace_base = replica.sim().trace().size();
-          per_shard[i] = run_production_shard(replica, replica_sources,
-                                              config, parts[i], observed);
-          obs::MetricsSnapshot delta =
-              replica.sim().metrics().snapshot().delta_since(baseline);
-          delta.compact();
-          {
-            const std::scoped_lock lock{accumulator_mu};
-            accumulator.merge_sum(delta);
-          }
-          const auto& events = replica.sim().trace().events();
-          shard_events[i].assign(events.begin() + trace_base, events.end());
-        } catch (...) {
-          const std::scoped_lock lock{error_mu};
-          if (!error) error = std::current_exception();
-        }
-      });
-    }
-    try {
-      per_shard[0] =
-          run_production_shard(testbed, sources, config, parts[0], observed);
-    } catch (...) {
-      const std::scoped_lock lock{error_mu};
-      if (!error) error = std::current_exception();
-    }
-    for (auto& w : workers) w.join();
-    if (error) std::rethrow_exception(error);
-
-    // The hour's server-side logs are disjoint per shard: merge by sum.
-    for (const auto& shard_counts : per_shard) {
-      for (std::size_t oi = 0; oi < observed.size(); ++oi) {
-        for (const auto& [client, n] : shard_counts[oi]) {
-          counts[oi][client] += n;
-        }
-      }
-    }
-    testbed.sim().metrics().merge_sum(accumulator.snapshot());
-    for (std::size_t i = 1; i < parts.size(); ++i) {
-      for (const auto& event : shard_events[i]) {
-        testbed.sim().trace().record(event);
-      }
-    }
-  }
+  run_sharded<ClientCounts>(
+      testbed,
+      {.shards = config.shards,
+       .units = sources.size(),
+       // Each source is its own group, weighted by its expected query rate.
+       .partition =
+           [&](std::size_t shards) {
+             std::vector<std::vector<std::size_t>> singletons(sources.size());
+             std::vector<double> rates(sources.size());
+             for (std::size_t i = 0; i < sources.size(); ++i) {
+               singletons[i] = {i};
+               rates[i] = sources[i]->rate_per_sec;
+             }
+             return pack_groups(singletons, rates, shards);
+           },
+       .setup =
+           [&](const Part& part) -> std::unique_ptr<Testbed> {
+             return std::make_unique<SourcedReplica>(testbed, config, part);
+           },
+       .body =
+           [&](Testbed& world, const Part& part) {
+             auto* replica = dynamic_cast<SourcedReplica*>(&world);
+             return run_production_shard(
+                 world, replica != nullptr ? replica->sources : sources,
+                 config, part, observed);
+           },
+       // The hour's server-side logs are disjoint per part: merge by sum.
+       .merge =
+           [&](std::vector<ClientCounts>& out) {
+             for (const auto& part_counts : out) {
+               for (std::size_t oi = 0; oi < observed.size(); ++oi) {
+                 for (const auto& [client, n] : part_counts[oi]) {
+                   counts[oi][client] += n;
+                 }
+               }
+             }
+           }},
+      result.run_stats);
 
   // Reconstruct per-recursive traffic from the authoritative-side logs,
   // exactly as the paper does from DITL/ENTRADA captures.
-  ProductionResult result;
   result.sources_total = sources.size();
   result.metrics = testbed.sim().metrics().snapshot();
   std::unordered_map<net::IpAddress, RecursiveTraffic> traffic;

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "experiment/sharding.hpp"
 #include "experiment/testbed.hpp"
 #include "stats/summary.hpp"
 
@@ -89,6 +90,8 @@ struct ProductionResult {
   /// Caller-registry snapshot after the run, replica-shard deltas merged;
   /// MergeSafe JSON is byte-identical for every shard count.
   obs::MetricsSnapshot metrics;
+  /// Timing/memory breakdown of the run; shard units are sources.
+  RunStats run_stats;
 
   /// Figure 7 aggregates.
   std::vector<double> mean_rank_share;   // mean share of 1st/2nd/... choice

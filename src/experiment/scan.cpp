@@ -1,27 +1,17 @@
 #include "experiment/scan.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
-#include "experiment/sharding.hpp"
+#include "experiment/campaign.hpp"
 #include "obs/names.hpp"
 
 namespace recwild::experiment {
 
 namespace {
-
-using WallClock = std::chrono::steady_clock;
-
-double wall_seconds(WallClock::duration d) {
-  return std::chrono::duration<double>(d).count();
-}
 
 /// The name scanned at global index `i`: generated cache-busting label
 /// under the test domain, or the explicit list entry.
@@ -82,17 +72,17 @@ ShardOutput run_scan_shard(Testbed& world, const ScanConfig& config,
   obs::Counter* issued_ctr = &m.counter(obs::names::kScanNamesIssued);
   obs::Counter* completed_ctr = &m.counter(obs::names::kScanNamesCompleted);
 
-  auto out = std::make_shared<ShardOutput>();
+  ShardOutput out;
   if (config.collect_rows) {
     std::uint64_t owned_total = 0;
     for (const std::size_t v : vp_indices) {
       owned_total += names_owned(total, vp_count, v);
     }
-    out->rows.reserve(static_cast<std::size_t>(owned_total));
+    out.rows.reserve(static_cast<std::size_t>(owned_total));
   }
 
-  auto states = std::make_shared<std::vector<VpScan>>();
-  states->reserve(vp_indices.size());
+  std::vector<VpScan> states;
+  states.reserve(vp_indices.size());
   for (const std::size_t v : vp_indices) {
     client::VantagePoint* vp = pop.by_probe(v);
     if (vp == nullptr) {
@@ -107,16 +97,16 @@ ShardOutput run_scan_shard(Testbed& world, const ScanConfig& config,
     st.resolver = info->resolver;
     st.vp_index = v;
     st.owned = names_owned(total, vp_count, v);
-    if (st.owned > 0) states->push_back(st);
+    if (st.owned > 0) states.push_back(st);
   }
 
-  // issue_next is recursive through the resolver callback; the
-  // shared_ptr-captured state keeps everything alive until the last
-  // completion even if the caller's frame unwinds first.
+  // issue_next recurses through the resolver callback. Everything the
+  // callbacks touch lives in this frame, which outlives them: sim.run()
+  // drains every completion before it returns.
   const std::size_t window = std::max<std::size_t>(1, config.per_vp_window);
-  auto issue_next = std::make_shared<std::function<void(VpScan*)>>();
-  *issue_next = [&world, &config, issued_ctr, completed_ctr, out, domain,
-                 vp_count, issue_next](VpScan* st) {
+  std::function<void(VpScan*)> issue_next;
+  issue_next = [&world, &config, &out, &domain, &issue_next, issued_ctr,
+                completed_ctr, vp_count](VpScan* st) {
     if (st->next >= st->owned) return;
     // Owned-name ordinal k -> global index: k * vp_count + vp_index.
     const std::uint64_t index =
@@ -125,16 +115,16 @@ ShardOutput run_scan_shard(Testbed& world, const ScanConfig& config,
     ++st->next;
     const dns::Name qname = name_of(config, domain, index);
     issued_ctr->add(1, world.sim().now());
-    ++out->issued;
+    ++out.issued;
     const bool collect = config.collect_rows;
     st->resolver->resolve(
         dns::Question{qname, config.qtype, dns::RRClass::IN},
-        [&world, completed_ctr, out, st, index, qname, collect,
-         issue_next](const resolver::ResolveOutcome& outcome) {
+        [&world, &out, &issue_next, completed_ctr, st, index, qname,
+         collect](const resolver::ResolveOutcome& outcome) {
           const net::SimTime now = world.sim().now();
           completed_ctr->add(1, now);
-          ++out->completed;
-          if (out->last_completion < now) out->last_completion = now;
+          ++out.completed;
+          if (out.last_completion < now) out.last_completion = now;
           if (collect) {
             obs::ScanRow row;
             row.index = index;
@@ -154,9 +144,9 @@ ShardOutput run_scan_shard(Testbed& world, const ScanConfig& config,
             row.upstream =
                 static_cast<std::uint32_t>(outcome.upstream_queries);
             row.cache_hit = outcome.upstream_queries == 0;
-            out->rows.push_back(std::move(row));
+            out.rows.push_back(std::move(row));
           }
-          (*issue_next)(st);
+          issue_next(st);
         });
   };
 
@@ -164,28 +154,27 @@ ShardOutput run_scan_shard(Testbed& world, const ScanConfig& config,
   // issues happen inside one scheduled event per VP; afterwards the
   // pipeline is completion-driven.
   const stats::Rng scan_rng = sim.rng().fork("scan");
-  for (VpScan& st : *states) {
+  for (VpScan& st : states) {
     const net::Duration phase =
         config.phase_jitter
             ? net::Duration::millis(
                   scan_rng.fork(st.vp_index).uniform(0.0, 1000.0))
             : net::Duration::zero();
     VpScan* stp = &st;
-    sim.at(net::SimTime::origin() + phase, [stp, window, issue_next] {
+    sim.at(net::SimTime::origin() + phase, [stp, window, &issue_next] {
       for (std::size_t k = 0; k < window && stp->next < stp->owned; ++k) {
-        (*issue_next)(stp);
+        issue_next(stp);
       }
     });
   }
 
   sim.run();
-  return std::move(*out);
+  return out;
 }
 
 }  // namespace
 
 ScanResult run_scan(Testbed& testbed, const ScanConfig& config) {
-  const auto& vps = testbed.population().vps();
   const std::size_t vp_count = testbed.world()->population.vp_count();
   if (vp_count == 0) {
     throw std::invalid_argument{"run_scan: testbed has no population"};
@@ -196,129 +185,74 @@ ScanResult run_scan(Testbed& testbed, const ScanConfig& config) {
   }
   const std::uint64_t total = total_names(config);
 
+  ScanResult result;
   ScanRunStats local_stats;
   ScanRunStats& stats =
       config.run_stats != nullptr ? *config.run_stats : local_stats;
-  stats = ScanRunStats{};
-
-  ScanResult result;
-
-  std::size_t shards =
-      config.shards != 0
-          ? config.shards
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  shards = std::min(shards, std::max<std::size_t>(1, vps.size()));
-
-  auto finalize = [&](std::vector<ShardOutput> outputs, double run_wall_s) {
-    const auto t_merge = WallClock::now();
-    net::SimTime last = net::SimTime::origin();
-    for (ShardOutput& o : outputs) {
-      result.issued += o.issued;
-      result.completed += o.completed;
-      if (last < o.last_completion) last = o.last_completion;
-    }
-    if (config.collect_rows) {
-      // Merge by global index: every name completes exactly once, so the
-      // index-ordered list — and its JSONL bytes — is partition-free.
-      result.rows.resize(static_cast<std::size_t>(total));
-      for (ShardOutput& o : outputs) {
-        for (obs::ScanRow& row : o.rows) {
-          result.rows[static_cast<std::size_t>(row.index)] = std::move(row);
-        }
-      }
-    }
-    result.wall_s = run_wall_s;
-    result.queries_per_s =
-        run_wall_s > 0.0 ? static_cast<double>(result.completed) / run_wall_s
-                         : 0.0;
-    const double sim_s = (last - net::SimTime::origin()).ms() / 1000.0;
-    result.sim_end_s = sim_s;
-    result.sim_queries_per_s =
-        sim_s > 0.0 ? static_cast<double>(result.completed) / sim_s : 0.0;
-    // Host-wall throughput as a gauge on the caller's world: point-in-time
-    // level of ONE run, excluded from merge-safe exports by construction.
-    testbed.metrics()
-        .gauge(obs::names::kScanQps)
-        .set(result.queries_per_s, testbed.sim().now());
-    result.metrics = testbed.sim().metrics().snapshot();
-    stats.merge_s = wall_seconds(WallClock::now() - t_merge);
-  };
-
-  if (shards <= 1) {
-    std::vector<std::size_t> all;
-    all.reserve(vps.size());
-    for (const auto& vp : vps) all.push_back(vp.probe_id);
-    const auto t0 = WallClock::now();
-    std::vector<ShardOutput> outputs;
-    outputs.push_back(run_scan_shard(testbed, config, all));
-    stats.run_s = wall_seconds(WallClock::now() - t0);
-    finalize(std::move(outputs), stats.run_s);
-    return result;
-  }
-
-  const auto t_partition = WallClock::now();
-  const auto& groups = testbed.world()->vp_groups;
-  std::vector<double> weights(groups.size(), 0.0);
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    for (const std::size_t v : groups[g]) {
-      weights[g] += static_cast<double>(names_owned(total, vp_count, v));
-    }
-  }
-  const auto parts = pack_groups(groups, weights, shards);
-  stats.partition_s = wall_seconds(WallClock::now() - t_partition);
-
-  std::vector<ShardOutput> outputs(parts.size());
-  obs::MetricRegistry accumulator;
-  std::mutex accumulator_mu;
-  std::vector<std::vector<obs::TraceEvent>> shard_events(parts.size());
-  std::exception_ptr error;
-  std::mutex error_mu;
-  const auto t_run = WallClock::now();
-  std::vector<std::thread> workers;
-  workers.reserve(parts.size() - 1);
-  for (std::size_t i = 1; i < parts.size(); ++i) {
-    workers.emplace_back([&testbed, &config, &parts, &outputs, &accumulator,
-                          &accumulator_mu, &shard_events, &error, &error_mu,
-                          i] {
-      try {
-        Testbed replica{testbed.world(), &parts[i]};
-        replica.sim().sync_obs();
-        const obs::MetricsSnapshot baseline =
-            replica.sim().metrics().snapshot();
-        const std::size_t trace_base = replica.sim().trace().size();
-        outputs[i] = run_scan_shard(replica, config, parts[i]);
-        obs::MetricsSnapshot delta =
-            replica.sim().metrics().snapshot().delta_since(baseline);
-        delta.compact();
-        {
-          const std::scoped_lock lock{accumulator_mu};
-          accumulator.merge_sum(delta);
-        }
-        const auto& events = replica.sim().trace().events();
-        shard_events[i].assign(events.begin() + trace_base, events.end());
-      } catch (...) {
-        const std::scoped_lock lock{error_mu};
-        if (!error) error = std::current_exception();
-      }
-    });
-  }
-  try {
-    outputs[0] = run_scan_shard(testbed, config, parts[0]);
-  } catch (...) {
-    const std::scoped_lock lock{error_mu};
-    if (!error) error = std::current_exception();
-  }
-  for (auto& w : workers) w.join();
-  stats.run_s = wall_seconds(WallClock::now() - t_run);
-  if (error) std::rethrow_exception(error);
-
-  testbed.sim().metrics().merge_sum(accumulator.snapshot());
-  for (std::size_t i = 1; i < parts.size(); ++i) {
-    for (const auto& event : shard_events[i]) {
-      testbed.sim().trace().record(event);
-    }
-  }
-  finalize(std::move(outputs), stats.run_s);
+  run_sharded<ShardOutput>(
+      testbed,
+      {.shards = config.shards,
+       .units = testbed.population().vps().size(),
+       .partition =
+           [&](std::size_t shards) {
+             const auto groups = campaign_vp_groups(testbed);
+             std::vector<double> weights(groups.size(), 0.0);
+             for (std::size_t g = 0; g < groups.size(); ++g) {
+               for (const std::size_t v : groups[g]) {
+                 weights[g] +=
+                     static_cast<double>(names_owned(total, vp_count, v));
+               }
+             }
+             return pack_groups(groups, weights, shards);
+           },
+       .setup =
+           [&](const Part& part) {
+             return std::make_unique<Testbed>(testbed.world(), &part);
+           },
+       .body =
+           [&](Testbed& world, const Part& part) {
+             return run_scan_shard(world, config, part);
+           },
+       .merge =
+           [&](std::vector<ShardOutput>& outputs) {
+             net::SimTime last = net::SimTime::origin();
+             for (const ShardOutput& o : outputs) {
+               result.issued += o.issued;
+               result.completed += o.completed;
+               if (last < o.last_completion) last = o.last_completion;
+             }
+             if (config.collect_rows) {
+               // Merge by global index: every name completes exactly once,
+               // so the index-ordered list — and its JSONL bytes — is
+               // partition-free.
+               result.rows.resize(static_cast<std::size_t>(total));
+               for (ShardOutput& o : outputs) {
+                 for (obs::ScanRow& row : o.rows) {
+                   result.rows[static_cast<std::size_t>(row.index)] =
+                       std::move(row);
+                 }
+               }
+             }
+             result.wall_s = stats.run_s;
+             result.queries_per_s =
+                 stats.run_s > 0.0
+                     ? static_cast<double>(result.completed) / stats.run_s
+                     : 0.0;
+             const double sim_s =
+                 (last - net::SimTime::origin()).ms() / 1000.0;
+             result.sim_end_s = sim_s;
+             result.sim_queries_per_s =
+                 sim_s > 0.0 ? static_cast<double>(result.completed) / sim_s
+                             : 0.0;
+             // Host-wall throughput as a gauge on the caller's world:
+             // point-in-time level of ONE run, excluded from merge-safe
+             // exports by construction.
+             testbed.metrics()
+                 .gauge(obs::names::kScanQps)
+                 .set(result.queries_per_s, testbed.sim().now());
+             result.metrics = testbed.sim().metrics().snapshot();
+           }},
+      stats);
   return result;
 }
 

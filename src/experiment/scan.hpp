@@ -25,17 +25,14 @@
 #include <string>
 #include <vector>
 
+#include "experiment/sharding.hpp"
 #include "experiment/testbed.hpp"
 #include "obs/scan_log.hpp"
 
 namespace recwild::experiment {
 
-/// Wall-clock accounting of one scan run (host seconds, never sim time).
-struct ScanRunStats {
-  double partition_s = 0.0;  ///< VP grouping + weighted packing.
-  double run_s = 0.0;        ///< Parallel section (spawn to last join).
-  double merge_s = 0.0;      ///< Row/metrics/trace fold-back.
-};
+/// Timing/memory breakdown of one scan run; shard units are VPs.
+using ScanRunStats = RunStats;
 
 struct ScanConfig {
   /// Names to scan in generated mode: s0..s<names-1> under the testbed's
@@ -60,7 +57,7 @@ struct ScanConfig {
   /// benches: 10M ScanRows would cost ~1 GB; counters and timing are
   /// enough there.
   bool collect_rows = true;
-  /// When non-null, filled with the run's timing breakdown.
+  /// When non-null, filled with the run's timing/memory breakdown.
   ScanRunStats* run_stats = nullptr;
 };
 

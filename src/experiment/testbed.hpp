@@ -37,6 +37,9 @@ class Testbed {
 
   Testbed(const Testbed&) = delete;
   Testbed& operator=(const Testbed&) = delete;
+  /// Virtual: a sharded engine's replica may be a subclass that carries
+  /// per-part state beside the world (see ShardJob::setup).
+  virtual ~Testbed() = default;
 
   [[nodiscard]] net::Simulation& sim() noexcept { return sim_; }
   [[nodiscard]] net::Network& network() noexcept { return *network_; }

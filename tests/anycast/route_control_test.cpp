@@ -213,11 +213,11 @@ TEST(RouteControl, LoadCapShedsTheHotSiteOnly) {
 }
 
 TEST(RouteControl, SetSiteDownStaysBlackholed) {
-  // The deprecated ad-hoc path keeps its semantics: the dark site never
-  // leaves the catchment, so its queries black-hole forever (what the
-  // withdraw path is the engineered alternative to).
+  // A crashed server whose route stays announced never leaves the
+  // catchment, so its queries black-hole forever (what the withdraw path
+  // is the engineered alternative to).
   Harness h;
-  h.svc.set_site_down(0, true);
+  h.svc.sites()[0].server->set_down(true);
   h.query_at(at_s(5), 1);
   EXPECT_TRUE(h.answered_ids.empty());
   EXPECT_EQ(h.fra_queries(), 1u);  // still attracted the query

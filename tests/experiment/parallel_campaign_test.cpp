@@ -78,7 +78,7 @@ TEST(ParallelCampaign, RunStatsAccountForEveryVp) {
   ASSERT_FALSE(stats.shards.empty());
   std::size_t vps = 0;
   for (const auto& s : stats.shards) {
-    vps += s.vps;
+    vps += s.units;
     EXPECT_GE(s.wall_s, 0.0);
   }
   EXPECT_EQ(vps, result.vps.size());
