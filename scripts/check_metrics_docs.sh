@@ -12,7 +12,10 @@
 #      so check 1 is exhaustive by construction;
 #   5. every src/ or tools/ file a metric row cites in its "emitting site"
 #      column contains that metric's obs::names constant, so the column
-#      stays true when code moves between files.
+#      stays true when code moves between files;
+#   6. no file under src/ null-checks a metric handle (`obs_x == nullptr`):
+#      every owner registers its metrics in its constructor, and the
+#      MergeSafe export hides the ones a run never touches.
 #
 # Run from the repository root (CI does; ctest registers it as
 # ObsDocs.MetricsDocumented). Exits non-zero with one line per violation.
@@ -99,6 +102,13 @@ violations=$(
 )
 if [ -n "$violations" ]; then
     echo "$violations"
+    fail=1
+fi
+
+# 6. no lazily registered metric handles.
+if grep -rn --include='*.cpp' --include='*.hpp' \
+        -e 'obs_[a-z_]* == nullptr' "$root/src"; then
+    echo "lazy metric handle above: register it in the owner's constructor"
     fail=1
 fi
 

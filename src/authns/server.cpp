@@ -17,10 +17,11 @@ AuthServer::AuthServer(net::Network& network, net::NodeId node,
   obs_responses_ = &m.counter(obs::names::kAuthnsResponses);
   obs_truncated_ = &m.counter(obs::names::kAuthnsTruncated);
   obs_fault_refused_ = &m.counter(obs::names::kFaultAuthRefused);
-  // obs_formerr_ is resolved lazily on the first malformed datagram:
-  // registering it eagerly would add an always-zero counter to every
-  // simulation snapshot and invalidate the committed byte-identity
-  // fixtures for worlds that never see hostile input.
+  obs_formerr_ = &m.counter(obs::names::kAuthnsFormerr);
+  obs_rrl_dropped_ = &m.counter(obs::names::kRrlDropped);
+  obs_rrl_slipped_ = &m.counter(obs::names::kRrlSlipped);
+  obs_referral_capped_ = &m.counter(obs::names::kAuthnsReferralCapped);
+  obs_victim_queries_ = &m.counter(obs::names::kAttackVictimQueries);
 }
 
 AuthServer::~AuthServer() {
@@ -72,31 +73,6 @@ void AuthServer::send_notifies(const dns::Name& origin) {
   }
 }
 
-void AuthServer::set_rrl(const RrlConfig& config) {
-  rrl_.set_config(config);
-  if (rrl_.enabled()) {
-    obs::MetricRegistry& m = network_.sim().metrics();
-    obs_rrl_dropped_ = &m.counter(obs::names::kRrlDropped);
-    obs_rrl_slipped_ = &m.counter(obs::names::kRrlSlipped);
-  }
-}
-
-void AuthServer::set_referral_fanout_cap(int cap) {
-  responder_.set_max_referral_fanout(cap);
-  if (cap > 0) {
-    obs_referral_capped_ =
-        &network_.sim().metrics().counter(obs::names::kAuthnsReferralCapped);
-  }
-}
-
-void AuthServer::set_victim(bool victim) {
-  victim_ = victim;
-  if (victim) {
-    obs_victim_queries_ =
-        &network_.sim().metrics().counter(obs::names::kAttackVictimQueries);
-  }
-}
-
 void AuthServer::start() {
   if (listening_) return;
   auto handler = [this](const net::Datagram& d, net::NodeId at) {
@@ -135,10 +111,6 @@ void AuthServer::on_datagram(const net::Datagram& dgram, net::NodeId at_node) {
     AuthFaultState fault;
     if (fault_provider_) fault = fault_provider_(network_.sim().now());
     if (fault.mode == AuthFailMode::Unresponsive) return;
-    if (obs_formerr_ == nullptr) {
-      obs_formerr_ =
-          &network_.sim().metrics().counter(obs::names::kAuthnsFormerr);
-    }
     obs_formerr_->add(1, network_.sim().now());
     net::Duration processing = config_.processing_delay;
     if (fault.mode == AuthFailMode::Slow) processing += fault.extra_delay;

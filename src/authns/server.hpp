@@ -115,19 +115,19 @@ class AuthServer {
   }
 
   /// Arms (or, with rate 0, disarms) response-rate limiting on the UDP
-  /// answer path. Registers the rrl.* counters eagerly — callers arm RRL
-  /// at world-build time, so every shard replica registers identically.
-  void set_rrl(const RrlConfig& config);
+  /// answer path.
+  void set_rrl(const RrlConfig& config) { rrl_.set_config(config); }
   [[nodiscard]] const Rrl& rrl() const noexcept { return rrl_; }
 
   /// Caps the NS fanout of referrals this server emits (0 = unlimited).
-  /// Registers authns.referral.capped eagerly (same build-time contract).
-  void set_referral_fanout_cap(int cap);
+  void set_referral_fanout_cap(int cap) {
+    responder_.set_max_referral_fanout(cap);
+  }
 
   /// Marks this server as an attack victim: every received query is also
   /// counted under attack.victim.queries, the numerator of the measured
-  /// amplification factor. Registered eagerly at marking time.
-  void set_victim(bool victim);
+  /// amplification factor.
+  void set_victim(bool victim) noexcept { victim_ = victim; }
   [[nodiscard]] bool is_victim() const noexcept { return victim_; }
 
   [[nodiscard]] const net::Endpoint& endpoint() const noexcept {
@@ -191,9 +191,6 @@ class AuthServer {
   obs::Counter* obs_truncated_ = nullptr;
   obs::Counter* obs_formerr_ = nullptr;
   obs::Counter* obs_fault_refused_ = nullptr;
-  // Defense/attack counters, registered eagerly by their set_* calls (which
-  // run at world-build time) so shard replicas register identically, and
-  // absent entirely from worlds that never arm the features.
   obs::Counter* obs_rrl_dropped_ = nullptr;
   obs::Counter* obs_rrl_slipped_ = nullptr;
   obs::Counter* obs_referral_capped_ = nullptr;

@@ -26,8 +26,6 @@ void schedule_attack_traffic(Testbed& world,
   auto& pop = world.population();
   const dns::Name victim =
       dns::Name::parse(schedule.zone().victim_domain);
-  // Registered whenever the schedule is armed — in every shard replica,
-  // bots owned or not — so all replicas carry an identical registry.
   obs::Counter* injected =
       &sim.metrics().counter(obs::names::kAttackQueriesInjected);
 

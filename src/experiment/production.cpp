@@ -303,15 +303,16 @@ ProductionResult run_production(Testbed& testbed,
       t.total += count;
     }
   }
-  // Attach source metadata.
+  // Attach source metadata (the first source holding an address wins).
+  std::unordered_map<net::IpAddress, const Source*> source_at;
+  for (const auto& src : sources) {
+    source_at.try_emplace(src->address, src.get());
+  }
   for (auto& [addr, t] : traffic) {
-    for (const auto& src : sources) {
-      if (src->address == addr) {
-        t.continent = src->continent;
-        t.node = src->node;
-        t.policy = src->policy;
-        break;
-      }
+    if (const auto it = source_at.find(addr); it != source_at.end()) {
+      t.continent = it->second->continent;
+      t.node = it->second->node;
+      t.policy = it->second->policy;
     }
   }
   for (auto& [addr, t] : traffic) {

@@ -25,7 +25,9 @@ Network::Network(Simulation& sim, LatencyParams params,
       obs_stream_sent_(&sim.metrics().counter(obs::names::kNetStreamSent)),
       obs_udp_bytes_(&sim.metrics().counter(obs::names::kDatapathUdpBytes)),
       obs_stream_bytes_(
-          &sim.metrics().counter(obs::names::kDatapathStreamBytes)) {
+          &sim.metrics().counter(obs::names::kDatapathStreamBytes)),
+      obs_lost_convergence_(
+          &sim.metrics().counter(obs::names::kAnycastLostInConvergence)) {
   if (base_ != nullptr) {
     if (base_->first_id != 0) {
       throw std::invalid_argument{
@@ -150,12 +152,6 @@ void Network::add_route_hook(RoutePolicyHook* hook) {
   if (std::find(route_hooks_.begin(), route_hooks_.end(), hook) !=
       route_hooks_.end()) {
     return;
-  }
-  // Registered lazily (like RRL's counters): worlds without dynamic
-  // routing keep their historical metric snapshots byte-for-byte.
-  if (obs_lost_convergence_ == nullptr) {
-    obs_lost_convergence_ =
-        &sim_.metrics().counter(obs::names::kAnycastLostInConvergence);
   }
   route_hooks_.push_back(hook);
 }

@@ -351,8 +351,7 @@ class Network {
   obs::Counter* obs_stream_sent_;
   obs::Counter* obs_udp_bytes_;
   obs::Counter* obs_stream_bytes_;
-  /// Registered on first add_route_hook (lazy, fixture-stable).
-  obs::Counter* obs_lost_convergence_ = nullptr;
+  obs::Counter* obs_lost_convergence_;
 };
 
 }  // namespace recwild::net

@@ -52,6 +52,28 @@ UniqueFd make_socket(int type) {
   return fd;
 }
 
+/// Ephemeral picks tried before start() gives up on port 0.
+constexpr int kPortPicks = 16;
+
+/// An ephemeral UDP port on `address` that no UDP socket holds. A probe
+/// bound without reuse flags never shares its port; a SO_REUSEPORT socket
+/// bound to port 0 may be handed one that another reuse socket of the same
+/// user already holds, and the kernel then splits datagrams between the two.
+std::uint16_t free_udp_port(const std::string& address) {
+  const UniqueFd probe{::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0)};
+  if (!probe) throw_errno("socket");
+  sockaddr_in sa = make_addr(address, 0);
+  if (::bind(probe.get(), reinterpret_cast<sockaddr*>(&sa), sizeof sa) != 0) {
+    throw_errno("bind(probe)");
+  }
+  socklen_t len = sizeof sa;
+  if (::getsockname(probe.get(), reinterpret_cast<sockaddr*>(&sa), &len) !=
+      0) {
+    throw_errno("getsockname");
+  }
+  return ntohs(sa.sin_port);
+}
+
 void epoll_add(int epfd, int fd, std::uint32_t events) {
   epoll_event ev{};
   ev.events = events;
@@ -100,7 +122,31 @@ Server::~Server() { stop(); }
 
 void Server::start() {
   if (running_.load(std::memory_order_acquire)) return;
-  bound_port_ = config_.port;
+  // The probe vets UDP only: a TCP listener or connection may hold the
+  // picked number, or another process may take it before the workers bind.
+  // An ephemeral pick that loses either way picks again.
+  for (int pick = 1;; ++pick) {
+    bound_port_ = config_.port != 0 ? config_.port
+                                    : free_udp_port(config_.bind_address);
+    try {
+      bind_workers();
+      break;
+    } catch (const std::system_error& e) {
+      if (config_.port != 0 || e.code() != std::errc::address_in_use ||
+          pick == kPortPicks) {
+        throw;
+      }
+    }
+  }
+
+  running_.store(true, std::memory_order_release);
+  threads_.reserve(workers_.size());
+  for (auto& w : workers_) {
+    threads_.emplace_back([this, worker = w.get()] { run_worker(*worker); });
+  }
+}
+
+void Server::bind_workers() {
   workers_.clear();
   workers_.reserve(static_cast<std::size_t>(config_.workers));
 
@@ -113,16 +159,6 @@ void Server::start() {
     if (::bind(w->udp.get(), reinterpret_cast<sockaddr*>(&sa), sizeof sa) !=
         0) {
       throw_errno("bind(udp)");
-    }
-    if (bound_port_ == 0) {
-      // First bind resolved the ephemeral port; every later socket (this
-      // worker's TCP listener, all other workers) binds the same number.
-      socklen_t len = sizeof sa;
-      if (::getsockname(w->udp.get(), reinterpret_cast<sockaddr*>(&sa),
-                        &len) != 0) {
-        throw_errno("getsockname");
-      }
-      bound_port_ = ntohs(sa.sin_port);
     }
 
     w->tcp_listen = make_socket(SOCK_STREAM);
@@ -143,12 +179,6 @@ void Server::start() {
     epoll_add(w->epoll.get(), w->wake.get(), EPOLLIN);
 
     workers_.push_back(std::move(w));
-  }
-
-  running_.store(true, std::memory_order_release);
-  threads_.reserve(workers_.size());
-  for (auto& w : workers_) {
-    threads_.emplace_back([this, worker = w.get()] { run_worker(*worker); });
   }
 }
 

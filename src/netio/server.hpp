@@ -32,8 +32,8 @@ struct ServerConfig {
   /// Dotted-quad IPv4 address to bind (loopback by default: the repo's
   /// tests and benches never expose a socket beyond the host).
   std::string bind_address = "127.0.0.1";
-  /// 0 asks the kernel for an ephemeral port; the bound port is then
-  /// readable via port() (tests and the smoke script rely on this).
+  /// 0 picks an ephemeral port no UDP or TCP socket holds; the bound port
+  /// is then readable via port() (tests and the smoke script rely on this).
   std::uint16_t port = 0;
   /// SO_REUSEPORT shards, one epoll loop + thread each.
   int workers = 1;
@@ -86,6 +86,8 @@ class Server {
 
  private:
   struct Worker;
+  /// Makes every worker's sockets, all bound to bound_port_.
+  void bind_workers();
   void run_worker(Worker& w);
 
   const authns::Responder& responder_;

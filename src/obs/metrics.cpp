@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace recwild::obs {
 
@@ -15,6 +16,16 @@ std::string format_bound(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.6g", v);
   return std::string{buf};
+}
+
+/// The one filter of compact() and the MergeSafe export.
+bool kept(const MetricsSnapshot::CounterValue& c) { return c.value != 0; }
+bool kept(const MetricsSnapshot::HistogramValue& h) { return h.total != 0; }
+
+template <class Value>
+void sort_by_name(std::vector<Value>& values) {
+  std::sort(values.begin(), values.end(),
+            [](const Value& a, const Value& b) { return a.name < b.name; });
 }
 
 void write_json_string(std::ostream& out, std::string_view s) {
@@ -102,6 +113,9 @@ MetricsSnapshot MetricRegistry::snapshot() const {
     v.last_sample_us = h.last_sample().count_micros();
     snap.histograms.push_back(std::move(v));
   }
+  sort_by_name(snap.counters);
+  sort_by_name(snap.gauges);
+  sort_by_name(snap.histograms);
   return snap;
 }
 
@@ -158,28 +172,30 @@ MetricsSnapshot MetricsSnapshot::delta_since(
 }
 
 MetricsSnapshot& MetricsSnapshot::compact() {
-  std::erase_if(counters,
-                [](const CounterValue& c) { return c.value == 0; });
+  std::erase_if(counters, [](const CounterValue& c) { return !kept(c); });
   std::erase_if(histograms,
-                [](const HistogramValue& h) { return h.total == 0; });
+                [](const HistogramValue& h) { return !kept(h); });
   gauges.clear();
   return *this;
 }
 
 void MetricsSnapshot::write_json(std::ostream& out,
                                  SnapshotStyle style) const {
+  const bool all = style == SnapshotStyle::Full;
+  const char* sep = "\n";
   out << "{\n  \"counters\": {";
-  for (std::size_t i = 0; i < counters.size(); ++i) {
-    const auto& c = counters[i];
-    out << (i == 0 ? "\n" : ",\n") << "    ";
+  for (const auto& c : counters) {
+    if (!all && !kept(c)) continue;
+    out << std::exchange(sep, ",\n") << "    ";
     write_json_string(out, c.name);
     out << ": {\"value\": " << c.value
         << ", \"last_change_us\": " << c.last_change_us << "}";
   }
+  sep = "\n";
   out << "\n  },\n  \"histograms\": {";
-  for (std::size_t i = 0; i < histograms.size(); ++i) {
-    const auto& h = histograms[i];
-    out << (i == 0 ? "\n" : ",\n") << "    ";
+  for (const auto& h : histograms) {
+    if (!all && !kept(h)) continue;
+    out << std::exchange(sep, ",\n") << "    ";
     write_json_string(out, h.name);
     out << ": {\"lo\": " << format_bound(h.lo)
         << ", \"hi\": " << format_bound(h.hi) << ", \"total\": " << h.total
@@ -191,11 +207,11 @@ void MetricsSnapshot::write_json(std::ostream& out,
     out << "]}";
   }
   out << "\n  }";
-  if (style == SnapshotStyle::Full) {
+  if (all) {
+    sep = "\n";
     out << ",\n  \"gauges\": {";
-    for (std::size_t i = 0; i < gauges.size(); ++i) {
-      const auto& g = gauges[i];
-      out << (i == 0 ? "\n" : ",\n") << "    ";
+    for (const auto& g : gauges) {
+      out << std::exchange(sep, ",\n") << "    ";
       write_json_string(out, g.name);
       out << ": {\"value\": " << format_bound(g.value)
           << ", \"last_change_us\": " << g.last_change_us << "}";

@@ -11,19 +11,23 @@
 /// their timestamps by max, which reproduces the serial run exactly because
 /// every random stream is keyed by identity (see DESIGN.md / campaign.hpp).
 /// Gauges are point-in-time levels of ONE world (e.g. peak queue depth) and
-/// cannot be reconstructed from shard pieces, so merges leave them alone and
-/// `SnapshotStyle::MergeSafe` exports exclude them — that style is
-/// byte-identical for every shard count.
+/// cannot be reconstructed from shard pieces, so merges leave them alone.
+/// `SnapshotStyle::MergeSafe` exports show exactly what `compact()` keeps —
+/// non-zero counters and non-empty histograms, no gauges — so that style is
+/// byte-identical for every shard count, and a registered but untouched
+/// metric is invisible in it: owners register every metric they own in
+/// their constructor.
 ///
 /// Cost. Recording is a pointer-indirected integer add; instrumentation
 /// sites cache `Counter*` handles once and pay no name lookup afterwards.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "net/time.hpp"
@@ -120,7 +124,8 @@ enum class SnapshotStyle {
   /// Everything, gauges included. Deterministic for a fixed seed AND shard
   /// count, but gauges differ between serial and sharded runs.
   Full,
-  /// Counters and histograms only — byte-identical for every shard count.
+  /// What compact() keeps: non-zero counters and non-empty histograms,
+  /// no gauges — byte-identical for every shard count.
   MergeSafe,
 };
 
@@ -162,14 +167,13 @@ struct MetricsSnapshot {
 
   /// Drops zero-valued counters, empty histograms and all gauges in place
   /// and returns *this. Applied to a shard's delta before it is streamed
-  /// into the cross-shard accumulator: merging a zero entry only touches
-  /// timestamps, and an untouched metric's timestamp is already identical
-  /// on every identically-built world, so compaction cannot change the
-  /// merged bytes — it only shrinks what each shard ships.
+  /// into the cross-shard accumulator; the MergeSafe export applies the
+  /// same filter, so a zero entry can never reach the merged bytes.
   MetricsSnapshot& compact();
 
   /// Writes the snapshot as deterministic JSON: keys sorted, integers
-  /// verbatim, bounds with up to six significant digits.
+  /// verbatim, bounds with up to six significant digits. MergeSafe writes
+  /// only the entries compact() keeps.
   void write_json(std::ostream& out,
                   SnapshotStyle style = SnapshotStyle::Full) const;
   /// write_json into a string.
@@ -184,7 +188,8 @@ struct MetricsSnapshot {
 
 /// Owner of all metrics of one simulation. Handles returned by counter() /
 /// gauge() / histogram() stay valid for the registry's lifetime (storage is
-/// node-based), so instrumentation sites resolve each name exactly once.
+/// node-based), so instrumentation sites resolve each name exactly once, in
+/// their owner's constructor.
 class MetricRegistry {
  public:
   /// The counter registered under `name`, created on first use.
@@ -207,11 +212,21 @@ class MetricRegistry {
   void merge_sum(const MetricsSnapshot& delta);
 
  private:
-  // std::map: stable node addresses (handles survive rehashing-free) and
-  // name-sorted iteration for free, which snapshot() relies on.
-  std::map<std::string, Counter, std::less<>> counters_;
-  std::map<std::string, Gauge, std::less<>> gauges_;
-  std::map<std::string, Histogram, std::less<>> histograms_;
+  /// Transparent hash: string_view lookups build no std::string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  template <class T>
+  using Table = std::unordered_map<std::string, T, NameHash, std::equal_to<>>;
+
+  // Hashed for cheap registration (every owner constructor resolves its
+  // handles); node-based, so handles survive rehashing. snapshot() sorts.
+  Table<Counter> counters_;
+  Table<Gauge> gauges_;
+  Table<Histogram> histograms_;
 };
 
 }  // namespace recwild::obs

@@ -184,7 +184,7 @@ inline constexpr std::string_view kCampaignQueriesUnanswered =
 inline constexpr std::string_view kProductionLookups = "production.lookups";
 
 // --- response-rate limiting (src/authns/server.cpp) ---------------------
-/// UDP responses suppressed by RRL (registered lazily when RRL is on).
+/// UDP responses suppressed by RRL.
 inline constexpr std::string_view kRrlDropped = "rrl.dropped";
 /// UDP responses replaced by a minimal TC=1 slip reply.
 inline constexpr std::string_view kRrlSlipped = "rrl.slipped";
@@ -224,13 +224,13 @@ inline constexpr std::string_view kAnycastSiteDrained =
 inline constexpr std::string_view kAnycastLostInConvergence =
     "anycast.queries.lost_in_convergence";
 
-// --- pipelined front door (src/resolver/resolver.cpp) -------------------
+// --- admission front door (src/resolver/resolver.cpp) -------------------
 /// High-water mark of admitted in-flight client resolutions per world
-/// (gauge; excluded from shard merges). 0 unless admission control is on.
+/// (gauge; excluded from shard merges).
 inline constexpr std::string_view kResolverInflight = "resolver.inflight";
-/// Client (qname, qtype) chains the pipelined front door coalesced onto an
+/// Client (qname, qtype) chains the admission front door coalesced onto an
 /// already in-flight or queued identical resolution (one upstream fetch
-/// tree answers every waiter). Registered lazily on first use.
+/// tree answers every waiter), with or without an in-flight cap.
 inline constexpr std::string_view kResolverCoalesced = "resolver.coalesced";
 /// Client resolutions parked in the admission queue because
 /// max_inflight_resolutions slots were all taken.

@@ -88,6 +88,14 @@ RecursiveResolver::RecursiveResolver(net::Network& network, net::NodeId node,
   obs_backoff_applied_ = &m.counter(obs::names::kResolverBackoffApplied);
   obs_backoff_capped_ = &m.counter(obs::names::kResolverBackoffCapped);
   obs_deadline_expired_ = &m.counter(obs::names::kResolverDeadlineExpired);
+  obs_coalesced_ = &m.counter(obs::names::kResolverCoalesced);
+  obs_admission_queued_ = &m.counter(obs::names::kResolverAdmissionQueued);
+  obs_admission_rejected_ =
+      &m.counter(obs::names::kResolverAdmissionRejected);
+  obs_fetch_spawned_ = &m.counter(obs::names::kResolverFetchSpawned);
+  obs_fetch_resolution_capped_ =
+      &m.counter(obs::names::kResolverFetchResolutionCapped);
+  obs_fetch_zone_capped_ = &m.counter(obs::names::kResolverFetchZoneCapped);
   // 10 ms bins to 1 s for upstream RTTs; 50 ms bins to 5 s end-to-end.
   obs_rtt_hist_ =
       &m.histogram(obs::names::kResolverUpstreamRttMs, 0.0, 1000.0, 100);
@@ -139,19 +147,7 @@ void RecursiveResolver::resolve(const dns::Question& q, ResolveCallback cb) {
   obs_client_queries_->add(1, network_.sim().now());
   std::vector<ResolveCallback> cbs;
   cbs.push_back(std::move(cb));
-  if (config_.max_inflight_resolutions <= 0) {
-    resolve_internal(q, std::move(cbs), nullptr, /*admitted=*/false);
-    return;
-  }
   admit(q, std::move(cbs));
-}
-
-void RecursiveResolver::note_coalesced() {
-  if (obs_coalesced_ == nullptr) {
-    obs_coalesced_ =
-        &network_.sim().metrics().counter(obs::names::kResolverCoalesced);
-  }
-  obs_coalesced_->add(1, network_.sim().now());
 }
 
 void RecursiveResolver::admit(const dns::Question& q,
@@ -162,7 +158,7 @@ void RecursiveResolver::admit(const dns::Question& q,
   if (const auto it = inflight_.find(PendingView{q.qname, q.qtype});
       it != inflight_.end()) {
     if (const auto job = it->second.lock(); job && !job->done) {
-      note_coalesced();
+      obs_coalesced_->add(1, now);
       resolve_internal(q, std::move(cbs), nullptr, /*admitted=*/false);
       return;
     }
@@ -177,22 +173,20 @@ void RecursiveResolver::admit(const dns::Question& q,
     resolve_internal(q, std::move(cbs), nullptr, /*admitted=*/false);
     return;
   }
-  if (client_inflight_ >=
-      static_cast<std::size_t>(config_.max_inflight_resolutions)) {
+  // 0 = no cap: nothing ever queues.
+  if (config_.max_inflight_resolutions > 0 &&
+      client_inflight_ >=
+          static_cast<std::size_t>(config_.max_inflight_resolutions)) {
     // Duplicate of a queued question: coalesce onto the queue entry.
     if (const auto it = queued_.find(PendingView{q.qname, q.qtype});
         it != queued_.end()) {
-      note_coalesced();
+      obs_coalesced_->add(1, now);
       for (auto& cb : cbs) it->second->callbacks.push_back(std::move(cb));
       return;
     }
     if (config_.max_queued_resolutions > 0 &&
         admission_queue_.size() >=
             static_cast<std::size_t>(config_.max_queued_resolutions)) {
-      if (obs_admission_rejected_ == nullptr) {
-        obs_admission_rejected_ = &network_.sim().metrics().counter(
-            obs::names::kResolverAdmissionRejected);
-      }
       obs_admission_rejected_->add(1, now);
       const ResolveOutcome outcome;  // SERVFAIL, zero elapsed/upstream
       for (auto& cb : cbs) cb(outcome);
@@ -201,10 +195,6 @@ void RecursiveResolver::admit(const dns::Question& q,
     admission_queue_.push_back(QueuedResolution{q, std::move(cbs)});
     queued_.insert_or_assign(PendingKey{q.qname, q.qtype},
                              &admission_queue_.back());
-    if (obs_admission_queued_ == nullptr) {
-      obs_admission_queued_ = &network_.sim().metrics().counter(
-          obs::names::kResolverAdmissionQueued);
-    }
     obs_admission_queued_->add(1, now);
     return;
   }
@@ -537,10 +527,6 @@ void RecursiveResolver::send_upstream(const std::shared_ptr<Job>& job,
   if (config_.fetches_per_zone > 0) {
     int& in_flight = zone_outstanding_[zone];
     if (in_flight >= config_.fetches_per_zone) {
-      if (obs_fetch_zone_capped_ == nullptr) {
-        obs_fetch_zone_capped_ = &network_.sim().metrics().counter(
-            obs::names::kResolverFetchZoneCapped);
-      }
       obs_fetch_zone_capped_->add(1, now);
       finish(job, dns::Rcode::ServFail);
       return;
@@ -923,10 +909,6 @@ bool RecursiveResolver::maybe_fetch_ns_addresses(
     const std::uint32_t used = *job->fetch_budget;
     const std::size_t allowed = used >= cap ? 0 : cap - used;
     if (targets.size() > allowed) {
-      if (obs_fetch_resolution_capped_ == nullptr) {
-        obs_fetch_resolution_capped_ = &network_.sim().metrics().counter(
-            obs::names::kResolverFetchResolutionCapped);
-      }
       obs_fetch_resolution_capped_->add(targets.size() - allowed, now);
       targets.resize(allowed);
     }
@@ -949,10 +931,6 @@ bool RecursiveResolver::maybe_fetch_ns_addresses(
     *job->fetch_budget += static_cast<std::uint32_t>(targets.size());
   }
 
-  if (obs_fetch_spawned_ == nullptr) {
-    obs_fetch_spawned_ =
-        &network_.sim().metrics().counter(obs::names::kResolverFetchSpawned);
-  }
   // Pre-commit the full count before the first resolve_internal: a child
   // that completes synchronously (cached CNAME chain, instant SERVFAIL)
   // must not see pending_fetches hit zero while siblings are unspawned.

@@ -86,16 +86,17 @@ struct ResolverConfig {
   /// query name. Off by default, like the resolvers of the paper's era.
   bool qname_minimization = false;
 
-  /// Pipelined front door (ZDNS-style bulk resolution): client resolutions
-  /// admitted in flight at once. Above the cap, new questions wait in a
-  /// FIFO admission queue and are started as slots free up; duplicates of
-  /// an in-flight or queued (qname, qtype) coalesce onto its waiter list
-  /// and never consume a slot, and questions a live cached RRset can answer
+  /// Client resolutions admitted in flight at once. Every client question
+  /// enters through one front door, admit() (ZDNS-style bulk resolution).
+  /// Above the cap, new questions wait in a FIFO admission queue and are
+  /// started as slots free up; duplicates of an in-flight or queued
+  /// (qname, qtype) coalesce onto its waiter list (resolver.coalesced) and
+  /// never consume a slot, and questions a live cached RRset can answer
   /// bypass admission entirely (they complete synchronously from cache).
   /// Internal NS-address fetches also bypass admission — gating them behind
   /// the very resolutions that spawned them would deadlock. Queue wait is
   /// excluded from ResolveOutcome::elapsed (the clock starts at admission).
-  /// 0 = unlimited, no admission control (the default).
+  /// 0 = no cap (the default): the same front door, but nothing queues.
   int max_inflight_resolutions = 0;
   /// Admission-queue depth bound; at the cap new resolutions fail fast
   /// with SERVFAIL (resolver.admission.rejected). 0 = unbounded queue.
@@ -197,8 +198,9 @@ class RecursiveResolver {
                         std::vector<ResolveCallback> cbs,
                         std::shared_ptr<std::uint32_t> fetch_budget,
                         bool admitted);
-  /// The pipelined front door: join / cache-bypass / start / queue /
-  /// reject, in that order (see ResolverConfig::max_inflight_resolutions).
+  /// The one front door of every client resolution: join / cache-bypass /
+  /// start / queue / reject, in that order (see
+  /// ResolverConfig::max_inflight_resolutions).
   void admit(const dns::Question& q, std::vector<ResolveCallback> cbs);
   /// Starts queued resolutions while slots are free (called from finish;
   /// reentrancy-guarded, so synchronous completions don't recurse).
@@ -208,9 +210,6 @@ class RecursiveResolver {
   /// simulation event, so N pipelined chains don't multiply queue churn.
   void arm_deadline(const std::shared_ptr<Job>& job);
   void fire_deadline_batch(std::int64_t key);
-  /// Counts one (qname, qtype) chain coalescing onto an existing in-flight
-  /// or queued resolution (lazily registered: resolver.coalesced).
-  void note_coalesced();
 
   void on_client_datagram(const net::Datagram& dgram);
   void on_upstream_datagram(const net::Datagram& dgram);
@@ -345,7 +344,7 @@ class RecursiveResolver {
                      PendingKeyEq>
       inflight_;
 
-  // Pipelined front door (max_inflight_resolutions > 0). The queue is a
+  // Admission state (see admit()). The queue is a
   // deque so queued_ can hold stable pointers into it: push_back/pop_front
   // never move other elements. queued_ coalesces duplicates of a waiting
   // question onto its callback list instead of queueing it twice.
@@ -397,20 +396,12 @@ class RecursiveResolver {
   obs::Counter* obs_deadline_expired_ = nullptr;
   obs::Histogram* obs_rtt_hist_ = nullptr;
   obs::Histogram* obs_resolve_hist_ = nullptr;
-  // Fetch-limit counters, resolved lazily on first use (the obs_formerr_
-  // pattern): glueless referrals never occur in the committed fixture
-  // worlds, and an eagerly registered always-zero counter would invalidate
-  // their byte-identity snapshots.
   obs::Counter* obs_fetch_spawned_ = nullptr;
   obs::Counter* obs_fetch_resolution_capped_ = nullptr;
   obs::Counter* obs_fetch_zone_capped_ = nullptr;
   /// High-water mark of admitted in-flight client resolutions (gauge:
-  /// point-in-time level, excluded from shard merges; eager registration
-  /// is fixture-safe because committed snapshots are MergeSafe).
+  /// point-in-time level, excluded from shard merges).
   obs::Gauge* obs_inflight_ = nullptr;
-  // Pipelining counters, resolved lazily (the obs_formerr_ pattern):
-  // admission is off in every committed fixture world, and coalescing is
-  // workload-dependent — always-zero eager rows would invalidate fixtures.
   obs::Counter* obs_coalesced_ = nullptr;
   obs::Counter* obs_admission_queued_ = nullptr;
   obs::Counter* obs_admission_rejected_ = nullptr;

@@ -91,6 +91,27 @@ TEST(ObsCampaign, MergeSafeExcludesGaugesFullIncludesThem) {
   EXPECT_NE(full.find("sim.queue.peak_pending"), std::string::npos);
 }
 
+TEST(ObsCampaign, IdleDefensesLeaveMergeSafeBytesUnchanged) {
+  // Arming RRL at a rate no client reaches and a referral cap no referral
+  // hits registers their counters but never touches them: the MergeSafe
+  // export must equal the plain world's, byte for byte.
+  const auto metrics_json = [](bool armed) {
+    auto cfg = small_config();
+    if (armed) {
+      cfg.rrl.rate = 1'000'000;
+      cfg.referral_fanout_cap = 1000;
+    }
+    Testbed tb{cfg};
+    CampaignConfig cc;
+    cc.interval = net::Duration::minutes(2);
+    cc.queries_per_vp = 5;
+    return run_campaign(tb, cc).metrics.to_json(obs::SnapshotStyle::MergeSafe);
+  };
+  const std::string plain = metrics_json(false);
+  EXPECT_EQ(plain.find(obs::names::kRrlDropped), std::string::npos);
+  EXPECT_EQ(plain, metrics_json(true));
+}
+
 TEST(ObsCampaign, TraceRoundTripsThroughTheTsvFormat) {
   const auto run = run_with_shards(1);
   std::istringstream in{run.trace_tsv};

@@ -155,6 +155,36 @@ TEST(Metrics, JsonIsDeterministicAndStyleAware) {
   EXPECT_NE(full.find("\"last_change_us\": 3000"), std::string::npos);
 }
 
+TEST(Metrics, MergeSafeOmitsZeroCountersAndEmptyHistograms) {
+  MetricRegistry reg;
+  reg.counter("test.zero");
+  reg.counter("test.one").add(1, at_ms(2));
+  reg.histogram("test.empty", 0.0, 10.0, 2);
+  reg.histogram("test.full", 0.0, 10.0, 2).observe(1.0, at_ms(3));
+  const MetricsSnapshot snap = reg.snapshot();
+
+  const std::string safe = snap.to_json(SnapshotStyle::MergeSafe);
+  EXPECT_EQ(safe.find("\"test.zero\""), std::string::npos);
+  EXPECT_EQ(safe.find("\"test.empty\""), std::string::npos);
+  EXPECT_NE(safe.find("\"test.one\""), std::string::npos);
+  EXPECT_NE(safe.find("\"test.full\""), std::string::npos);
+  // MergeSafe shows exactly what compact() keeps.
+  MetricsSnapshot kept = snap;
+  kept.compact();
+  EXPECT_EQ(safe, kept.to_json(SnapshotStyle::MergeSafe));
+
+  // Full keeps the zero rows.
+  const std::string full = snap.to_json(SnapshotStyle::Full);
+  EXPECT_NE(full.find("\"test.zero\": {\"value\": 0"), std::string::npos);
+  EXPECT_NE(full.find("\"test.empty\""), std::string::npos);
+
+  // An untouched registry exports empty MergeSafe sections.
+  MetricRegistry untouched;
+  untouched.counter("test.zero");
+  EXPECT_EQ(untouched.snapshot().to_json(SnapshotStyle::MergeSafe),
+            MetricRegistry{}.snapshot().to_json(SnapshotStyle::MergeSafe));
+}
+
 TEST(Metrics, NamesHeaderConstantsAreWellFormed) {
   // Spot-check the canonical-name convention: dotted, lower-case.
   for (const auto name :

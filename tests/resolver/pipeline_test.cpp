@@ -157,25 +157,31 @@ TEST(ResolverPipeline, AdmissionQueueOverflowRejectsImmediately) {
 }
 
 TEST(ResolverPipeline, DuplicateQnamesCoalesceOntoOneFetchTree) {
-  PipeWorld world{pipelined(/*inflight=*/8)};
-  std::vector<ResolveOutcome> outcomes;
-  for (int i = 0; i < 4; ++i) world.issue("same.test.nl", outcomes);
-  world.sim.run();
+  // A capped and an uncapped (0) resolver take the same front door: both
+  // join duplicates onto one chain and count every join.
+  for (const int inflight : {8, 0}) {
+    SCOPED_TRACE("max_inflight_resolutions = " + std::to_string(inflight));
+    PipeWorld world{pipelined(inflight)};
+    std::vector<ResolveOutcome> outcomes;
+    for (int i = 0; i < 4; ++i) world.issue("same.test.nl", outcomes);
+    world.sim.run();
 
-  // Every waiter answered, all from the single upstream chain.
-  ASSERT_EQ(outcomes.size(), 4u);
-  for (const auto& o : outcomes) {
-    EXPECT_EQ(o.rcode, dns::Rcode::NoError);
-    ASSERT_FALSE(o.answers.empty());
-    EXPECT_EQ(std::get<dns::TxtRdata>(o.answers[0].rdata).strings.at(0),
-              "A1");
+    // Every waiter answered, all from the single upstream chain.
+    ASSERT_EQ(outcomes.size(), 4u);
+    for (const auto& o : outcomes) {
+      EXPECT_EQ(o.rcode, dns::Rcode::NoError);
+      ASSERT_FALSE(o.answers.empty());
+      EXPECT_EQ(std::get<dns::TxtRdata>(o.answers[0].rdata).strings.at(0),
+                "A1");
+    }
+    EXPECT_EQ(world.root->queries_received(), 1u);
+    EXPECT_EQ(world.tld->queries_received(), 1u);
+    EXPECT_EQ(world.auth->queries_received(), 1u);
+    EXPECT_EQ(world.counter(obs::names::kResolverCoalesced), 3u);
+    // Joining waiters consume no admission slots: one logical resolution.
+    EXPECT_EQ(world.counter(obs::names::kResolverAdmissionQueued), 0u);
+    EXPECT_EQ(world.resolver->inflight_resolutions(), 0u);
   }
-  EXPECT_EQ(world.root->queries_received(), 1u);
-  EXPECT_EQ(world.tld->queries_received(), 1u);
-  EXPECT_EQ(world.auth->queries_received(), 1u);
-  EXPECT_EQ(world.counter(obs::names::kResolverCoalesced), 3u);
-  // Joining waiters consume no admission slots: one logical resolution.
-  EXPECT_EQ(world.counter(obs::names::kResolverAdmissionQueued), 0u);
 }
 
 TEST(ResolverPipeline, QueuedDuplicatesJoinTheQueuedEntry) {
