@@ -55,11 +55,12 @@ void Forwarder::on_client(const net::Datagram& dgram) {
 
   // Local cache first (when enabled).
   if (config_.cache_entries > 0) {
-    if (auto hit = cache_.get(q.qname, q.qtype, network_.sim().now())) {
+    const net::SimTime now = network_.sim().now();
+    if (const resolver::CacheEntry* hit = cache_.find(q.qname, q.qtype, now)) {
       ++cache_hits_;
       dns::Message resp = dns::Message::make_response(query);
       resp.header.ra = true;
-      resp.answers = hit->to_records();
+      hit->append_records(resp.answers, now);
       network_.send(node_, client_ep_, dgram.src,
                     dns::encode_message(resp));
       return;
@@ -104,8 +105,8 @@ void Forwarder::on_upstream(const net::Datagram& dgram) {
   network_.sim().cancel(p.timeout_event);
 
   if (config_.cache_entries > 0 && resp.header.rcode == dns::Rcode::NoError) {
-    for (const auto& set : dns::group_rrsets(resp.answers)) {
-      cache_.put(set, network_.sim().now());
+    for (auto& set : dns::group_rrsets(resp.answers)) {
+      cache_.put(std::move(set), network_.sim().now());
     }
   }
 

@@ -146,10 +146,16 @@ Name Name::concat(const Name& suffix) const {
 std::size_t Name::hash() const noexcept {
   const std::size_t cached = hash_cache_.load(std::memory_order_relaxed);
   if (cached != 0) return cached;
+  const std::size_t h = suffix_hash(labels_.size());
+  hash_cache_.store(h, std::memory_order_relaxed);
+  return h;
+}
+
+std::size_t Name::suffix_hash(std::size_t depth) const noexcept {
   // FNV-1a over lowered labels with separators.
   std::size_t h = 0xcbf29ce484222325ULL;
-  for (const auto& l : labels_) {
-    for (const char c : l) {
+  for (std::size_t i = labels_.size() - depth; i < labels_.size(); ++i) {
+    for (const char c : labels_[i]) {
       h ^= static_cast<unsigned char>(to_lower(c));
       h *= 0x100000001b3ULL;
     }
@@ -157,7 +163,6 @@ std::size_t Name::hash() const noexcept {
     h *= 0x100000001b3ULL;
   }
   if (h == 0) h = 0x9e3779b97f4a7c15ULL;  // keep 0 free as the sentinel
-  hash_cache_.store(h, std::memory_order_relaxed);
   return h;
 }
 

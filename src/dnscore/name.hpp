@@ -98,6 +98,11 @@ class Name {
   /// Case-insensitive hash consistent with equals().
   [[nodiscard]] std::size_t hash() const noexcept;
 
+  /// hash() of the suffix keeping the last `depth` labels (at most
+  /// label_count()), computed in place: equal to the hash() of that suffix
+  /// as a Name, without building one.
+  [[nodiscard]] std::size_t suffix_hash(std::size_t depth) const noexcept;
+
   /// Lower-cases ASCII; used for canonical comparisons.
   static char to_lower(char c) noexcept {
     return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;

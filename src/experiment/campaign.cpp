@@ -59,6 +59,138 @@ void schedule_attack_traffic(Testbed& world,
   }
 }
 
+/// One VP's campaign state: what its answers were and which recursives
+/// served them.
+struct VpState {
+  client::VantagePoint* vp = nullptr;
+  net::Duration phase;
+  std::vector<int> sequence;
+  /// (recursive address, queries served) pairs. VPs use 1-2 recursives;
+  /// a flat vector beats the hash map it replaced on both memory and
+  /// lookup time, and — unlike the map — iterates deterministically.
+  std::vector<std::pair<net::IpAddress, std::size_t>> recursive_use;
+};
+
+/// The probes of one campaign shard, scheduled lazily: each VP has one
+/// pending probe at a time, and probe k queues probe k+1 when it fires.
+///
+/// Event order is the one an up-front schedule of every probe gives. The
+/// run reserves one tie-break rank per probe before anything else is
+/// scheduled, and probe k of the VP at rank r is queued with rank
+/// first_rank + r·queries_per_vp + k: the sequence number the up-front
+/// loop (VPs in rank order, probes in order) handed it. Probe k+1's
+/// (time, rank) is strictly after probe k's, so it cannot be the earliest
+/// event before probe k has fired — and by then it is queued. Every pop
+/// therefore matches the up-front schedule, ties at equal times included;
+/// only the queue's depth (sim.queue.peak_pending) changes.
+class CampaignProbes {
+ public:
+  CampaignProbes(Testbed& world, const CampaignConfig& config,
+                 const std::vector<std::size_t>& vp_indices)
+      : world_(world),
+        domain_(world.test_domain()),
+        interval_(config.interval),
+        queries_per_vp_(config.queries_per_vp),
+        states_(vp_indices.size()) {
+    obs::MetricRegistry& m = world.sim().metrics();
+    q_sent_ = &m.counter(obs::names::kCampaignQueriesSent);
+    q_answered_ = &m.counter(obs::names::kCampaignQueriesAnswered);
+    q_unanswered_ = &m.counter(obs::names::kCampaignQueriesUnanswered);
+    // Stamped at the origin: every shard schedules before any event runs.
+    m.counter(obs::names::kCampaignVps)
+        .add(vp_indices.size(), net::SimTime::origin());
+    trace_ = &world.sim().trace();
+
+    const stats::Rng campaign_rng = world.sim().rng().fork("campaign");
+    for (std::size_t r = 0; r < vp_indices.size(); ++r) {
+      VpState& st = states_[r];
+      st.vp = world.population().by_probe(vp_indices[r]);
+      if (st.vp == nullptr) {
+        throw std::logic_error{
+            "run_campaign_shard: VP not materialized on this world"};
+      }
+      stats::Rng vp_rng = campaign_rng.fork(st.vp->probe_id);
+      st.phase = config.phase_jitter
+                     ? net::Duration::millis(
+                           vp_rng.uniform(0.0, config.interval.ms()))
+                     : net::Duration::zero();
+    }
+    first_rank_ = world.sim().reserve_ranks(states_.size() * queries_per_vp_);
+    if (queries_per_vp_ > 0) {
+      for (std::size_t r = 0; r < states_.size(); ++r) schedule(r, 0);
+    }
+  }
+
+  /// Rank-indexed (position in vp_indices), NOT probe-indexed: a
+  /// partition-scoped shard must not pay memory for the whole fleet.
+  std::vector<VpState>& states() noexcept { return states_; }
+
+ private:
+  void schedule(std::size_t r, std::size_t k) {
+    const net::SimTime at = net::SimTime::origin() + states_[r].phase +
+                            interval_ * double(k);
+    world_.sim().at_rank(at, first_rank_ + r * queries_per_vp_ + k,
+                         [this, r, k] { fire(r, k); });
+  }
+
+  void fire(std::size_t r, std::size_t k) {
+    VpState& st = states_[r];
+    q_sent_->add(1, world_.sim().now());
+    const dns::Name qname = domain_.prefixed(
+        "q" + std::to_string(st.vp->probe_id) + "x" + std::to_string(k));
+    st.vp->stub->query(qname, dns::RRType::TXT,
+                       [this, r](const client::StubResult& res) {
+                         answered(r, res);
+                       });
+    if (k + 1 < queries_per_vp_) schedule(r, k + 1);
+  }
+
+  void answered(std::size_t r, const client::StubResult& res) {
+    VpState& st = states_[r];
+    const net::SimTime now = world_.sim().now();
+    int idx = -1;
+    if (!res.timed_out && !res.txt.empty()) {
+      idx = world_.test_index_of(res.txt.front());
+    }
+    if (idx >= 0) {
+      q_answered_->add(1, now);
+    } else {
+      q_unanswered_->add(1, now);
+    }
+    st.sequence.push_back(idx);
+    if (res.recursive_index < st.vp->stub->recursives().size()) {
+      const net::IpAddress raddr =
+          st.vp->stub->recursives()[res.recursive_index];
+      auto it = std::find_if(
+          st.recursive_use.begin(), st.recursive_use.end(),
+          [raddr](const auto& p) { return p.first == raddr; });
+      if (it == st.recursive_use.end()) {
+        st.recursive_use.emplace_back(raddr, 1);
+      } else {
+        ++it->second;
+      }
+    }
+    // Per-VP progress (never per-shard: the trace must not know how the
+    // schedule was partitioned).
+    if (st.sequence.size() == queries_per_vp_ && trace_->enabled()) {
+      trace_->record({now, obs::TraceKind::Progress, "campaign",
+                      "probe" + std::to_string(st.vp->probe_id), "done",
+                      static_cast<double>(queries_per_vp_)});
+    }
+  }
+
+  Testbed& world_;
+  const dns::Name domain_;
+  const net::Duration interval_;
+  const std::size_t queries_per_vp_;
+  std::vector<VpState> states_;
+  std::uint64_t first_rank_ = 0;
+  obs::Counter* q_sent_ = nullptr;
+  obs::Counter* q_answered_ = nullptr;
+  obs::Counter* q_unanswered_ = nullptr;
+  obs::DecisionTrace* trace_ = nullptr;
+};
+
 /// Schedules the campaign queries of the VPs in `vp_indices` (ascending) on
 /// `world`, runs its simulation to completion, and returns one observation
 /// per scheduled VP, in `vp_indices` order. `world` may be a
@@ -72,94 +204,9 @@ std::vector<VpObservation> run_campaign_shard(
     const std::vector<std::size_t>& vp_indices) {
   auto& sim = world.sim();
   auto& network = world.network();
-  auto& pop = world.population();
   const auto& services = world.test_services();
-  const dns::Name domain = world.test_domain();
-
-  struct VpState {
-    std::vector<int> sequence;
-    /// (recursive address, queries served) pairs. VPs use 1-2 recursives;
-    /// a flat vector beats the hash map it replaced on both memory and
-    /// lookup time, and — unlike the map — iterates deterministically.
-    std::vector<std::pair<net::IpAddress, std::size_t>> recursive_use;
-  };
-  // Rank-indexed (position in vp_indices), NOT probe-indexed: a
-  // partition-scoped shard must not pay memory for the whole fleet.
-  std::vector<VpState> states(vp_indices.size());
-
-  obs::MetricRegistry& m = sim.metrics();
-  obs::Counter* q_sent = &m.counter(obs::names::kCampaignQueriesSent);
-  obs::Counter* q_answered = &m.counter(obs::names::kCampaignQueriesAnswered);
-  obs::Counter* q_unanswered =
-      &m.counter(obs::names::kCampaignQueriesUnanswered);
-  // Stamped at the origin: every shard schedules before any event runs.
-  m.counter(obs::names::kCampaignVps)
-      .add(vp_indices.size(), net::SimTime::origin());
-  obs::DecisionTrace* trace = &sim.trace();
-  const std::size_t queries_per_vp = config.queries_per_vp;
-
-  const stats::Rng campaign_rng = sim.rng().fork("campaign");
-
-  for (std::size_t r = 0; r < vp_indices.size(); ++r) {
-    client::VantagePoint* vp = pop.by_probe(vp_indices[r]);
-    if (vp == nullptr) {
-      throw std::logic_error{
-          "run_campaign_shard: VP not materialized on this world"};
-    }
-    VpState* st = &states[r];
-    stats::Rng vp_rng = campaign_rng.fork(vp->probe_id);
-    const net::Duration phase =
-        config.phase_jitter
-            ? net::Duration::millis(vp_rng.uniform(0.0, config.interval.ms()))
-            : net::Duration::zero();
-    for (std::size_t k = 0; k < config.queries_per_vp; ++k) {
-      const net::SimTime at =
-          net::SimTime::origin() + phase + config.interval * double(k);
-      sim.at(at, [&world, st, vp, k, domain, q_sent, q_answered,
-                  q_unanswered, trace, queries_per_vp] {
-        q_sent->add(1, world.sim().now());
-        const dns::Name qname = domain.prefixed(
-            "q" + std::to_string(vp->probe_id) + "x" + std::to_string(k));
-        vp->stub->query(
-            qname, dns::RRType::TXT,
-            [&world, st, vp, q_answered, q_unanswered, trace,
-             queries_per_vp](const client::StubResult& r) {
-              const net::SimTime now = world.sim().now();
-              int idx = -1;
-              if (!r.timed_out && !r.txt.empty()) {
-                idx = world.test_index_of(r.txt.front());
-              }
-              if (idx >= 0) {
-                q_answered->add(1, now);
-              } else {
-                q_unanswered->add(1, now);
-              }
-              st->sequence.push_back(idx);
-              if (r.recursive_index < vp->stub->recursives().size()) {
-                const net::IpAddress raddr =
-                    vp->stub->recursives()[r.recursive_index];
-                auto it = std::find_if(
-                    st->recursive_use.begin(), st->recursive_use.end(),
-                    [raddr](const auto& p) { return p.first == raddr; });
-                if (it == st->recursive_use.end()) {
-                  st->recursive_use.emplace_back(raddr, 1);
-                } else {
-                  ++it->second;
-                }
-              }
-              // Per-VP progress (never per-shard: the trace must not know
-              // how the schedule was partitioned).
-              if (st->sequence.size() == queries_per_vp &&
-                  trace->enabled()) {
-                trace->record({now, obs::TraceKind::Progress, "campaign",
-                               "probe" + std::to_string(vp->probe_id),
-                               "done",
-                               static_cast<double>(queries_per_vp)});
-              }
-            });
-      });
-    }
-  }
+  CampaignProbes probes{world, config, vp_indices};
+  std::vector<VpState>& states = probes.states();
 
   schedule_attack_traffic(world, vp_indices);
 
@@ -168,7 +215,7 @@ std::vector<VpObservation> run_campaign_shard(
   std::vector<VpObservation> observations;
   observations.reserve(vp_indices.size());
   for (std::size_t r = 0; r < vp_indices.size(); ++r) {
-    const client::VantagePoint* vp = pop.by_probe(vp_indices[r]);
+    const client::VantagePoint* vp = states[r].vp;
     VpObservation obs;
     obs.probe_id = vp->probe_id;
     obs.continent = vp->continent;

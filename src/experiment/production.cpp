@@ -13,9 +13,9 @@ namespace {
 using net::Continent;
 
 struct Source {
-  /// Live resolver — constructed only on worlds that replay this source's
-  /// traffic (partition-scoped replicas leave it null; address/node below
-  /// carry the identity for packing and analysis).
+  /// Live resolver — attached (attach_resolvers) only on the world that
+  /// replays this source's traffic; address/node below carry the identity
+  /// for packing and analysis on every world.
   std::unique_ptr<resolver::RecursiveResolver> resolver;
   net::IpAddress address;
   net::NodeId node = net::kInvalidNode;
@@ -27,6 +27,13 @@ struct Source {
   /// sources' arrivals interleave, or results would vary with sharding
   /// (and, before this stream existed, with any event reordering).
   stats::Rng sched_rng;
+
+  // The planned live resolver, consumed by attach_resolvers.
+  resolver::ResolverConfig resolver_config;
+  std::vector<resolver::RootHint> hints;
+  stats::Rng resolver_rng;
+  /// Warm start: (letter address, RTT ms) seeded into the infra cache.
+  std::vector<std::pair<net::IpAddress, double>> warm_rtts;
 };
 
 /// Schedules Poisson arrivals of cache-busting lookups until `end`.
@@ -51,29 +58,18 @@ void schedule_next(net::Simulation& sim, Source& src, net::SimTime end,
   });
 }
 
-/// Builds every source recursive on `world`, in config order. Worlds
+/// Plans every source recursive on `world`, in config order: node,
+/// address, policy, rate, hints and the live resolver's config. Worlds
 /// sharing one snapshot (identical catalogs, bindings and seeds) draw the
-/// byte-identical decision sequence here — addresses, nodes, policies,
-/// rates — which is what lets shards replay disjoint subsets of the
-/// sources and still merge into one coherent hour.
-///
-/// `only` (ascending source indices) makes this partition-scoped: every
-/// node, address and random draw still happens for every source (identity
-/// must not depend on the partition), but only the listed sources get a
-/// live resolver. A replica shard therefore pays resolver state — caches,
-/// sockets, timers — solely for the sources it replays.
-std::vector<std::unique_ptr<Source>> build_sources(
-    Testbed& world, const ProductionConfig& config,
-    const std::vector<std::size_t>* only = nullptr) {
-  auto& sim = world.sim();
+/// byte-identical decision sequence here, which is what lets shards replay
+/// disjoint subsets of the sources and still merge into one coherent hour.
+/// Every node, address and random draw happens for every source (identity
+/// must not depend on the partition); no resolver is built — see
+/// attach_resolvers.
+std::vector<std::unique_ptr<Source>> plan_sources(
+    Testbed& world, const ProductionConfig& config) {
   auto& network = world.network();
-  stats::Rng rng = sim.rng().fork("production");
-
-  std::vector<char> wanted;
-  if (only != nullptr) {
-    wanted.assign(config.recursives, 0);
-    for (const std::size_t i : *only) wanted.at(i) = 1;
-  }
+  stats::Rng rng = world.sim().rng().fork("production");
 
   const stats::WeightedSampler continent_sampler{
       {config.weight_af, config.weight_as, config.weight_eu,
@@ -99,7 +95,7 @@ std::vector<std::unique_ptr<Source>> build_sources(
     src->continent = c;
     src->policy = config.mixture.draw(rng);
     src->sched_rng = rng.fork("prod-sched", i);
-    resolver::ResolverConfig rc;
+    resolver::ResolverConfig& rc = src->resolver_config;
     rc.name = "prod-recursive-" + std::to_string(i);
     rc.policy = src->policy;
     rc.selection.bind_decay = config.bind_decay;
@@ -113,20 +109,14 @@ std::vector<std::unique_ptr<Source>> build_sources(
     // Reachability holes: some letters are simply never reachable from
     // some recursives (routing/filtering); drop them from this source's
     // world view.
-    std::vector<resolver::RootHint> hints;
+    std::vector<resolver::RootHint>& hints = src->hints;
     for (const auto& h : world.hints()) {
       if (!rng.chance(config.unreachable_fraction)) hints.push_back(h);
     }
     if (hints.empty()) hints.push_back(world.hints().front());
 
     src->address = network.allocate_address();
-    stats::Rng resolver_rng = rng.fork("prod-" + std::to_string(i));
-    const bool materialize = wanted.empty() || wanted[i] != 0;
-    if (materialize) {
-      src->resolver = std::make_unique<resolver::RecursiveResolver>(
-          network, node, src->address, std::move(rc), hints, resolver_rng);
-      src->resolver->start();
-    }
+    src->resolver_rng = rng.fork("prod-" + std::to_string(i));
 
     if (config.warm_start) {
       // Long-running recursives know their letters' RTTs already; seed the
@@ -134,16 +124,13 @@ std::vector<std::unique_ptr<Source>> build_sources(
       // cold-start exploration happens inside the measured hour. The
       // route() condition and draws run on every world — identical
       // bindings give identical routes — whether or not the resolver is
-      // materialized, so the shared rng stream never skews.
+      // attached there, so the shared rng stream never skews.
       for (const auto& h : hints) {
         const net::NodeId target = network.route(node, h.address);
         if (target == net::kInvalidNode) continue;
         const double rtt = network.base_rtt(node, target).ms() *
                            rng.uniform(0.97, 1.03);
-        if (materialize) {
-          src->resolver->infra().report_rtt(
-              h.address, net::Duration::millis(rtt), sim.now());
-        }
+        src->warm_rtts.emplace_back(h.address, rtt);
       }
     }
     const double volume =
@@ -154,19 +141,48 @@ std::vector<std::unique_ptr<Source>> build_sources(
   return sources;
 }
 
+/// Builds and starts the live resolvers of `part` (ascending source
+/// indices) on `world`, whose plan `sources` is. A world therefore pays
+/// resolver state — caches, sockets, timers — solely for the sources it
+/// replays. Runs inside the part's body, after a replica's baseline
+/// snapshot, so the warm-start RTT reports count once per source whatever
+/// the partition.
+void attach_resolvers(Testbed& world,
+                      std::vector<std::unique_ptr<Source>>& sources,
+                      const std::vector<std::size_t>& part) {
+  const net::SimTime now = world.sim().now();
+  for (const std::size_t i : part) {
+    Source& src = *sources[i];
+    src.resolver = std::make_unique<resolver::RecursiveResolver>(
+        world.network(), src.node, src.address,
+        std::move(src.resolver_config), std::move(src.hints),
+        src.resolver_rng);
+    src.resolver->start();
+    for (const auto& [letter, rtt] : src.warm_rtts) {
+      src.resolver->infra().report_rtt(letter, net::Duration::millis(rtt),
+                                       now);
+    }
+  }
+  world.sim()
+      .metrics()
+      .gauge(obs::names::kProductionLiveResolvers)
+      .max_of(static_cast<double>(part.size()), now);
+}
+
 /// Per observed service: query count per client address, as reconstructed
 /// from that world's authoritative-side logs.
 using ClientCounts =
     std::vector<std::unordered_map<net::IpAddress, std::uint64_t>>;
 
-/// Runs the traffic of `source_indices` on `world` and harvests the logs of
-/// the observed services. `sources` must be `world`'s own (pre-built, with
-/// live resolvers for at least `source_indices`).
+/// Attaches the live resolvers of `source_indices`, runs their traffic on
+/// `world` and harvests the logs of the observed services. `sources` must
+/// be `world`'s own plan.
 ClientCounts run_production_shard(
     Testbed& world, std::vector<std::unique_ptr<Source>>& sources,
     const ProductionConfig& config,
     const std::vector<std::size_t>& source_indices,
     const std::vector<std::size_t>& observed) {
+  attach_resolvers(world, sources, source_indices);
   auto& sim = world.sim();
   auto& group = config.target == ProductionTarget::Root
                     ? world.roots()
@@ -200,14 +216,12 @@ ClientCounts run_production_shard(
   return counts;
 }
 
-/// A replica part's world: the caller's world snapshot plus live resolvers
-/// for the part's own sources only (declared after the world, so they are
-/// destroyed before it).
+/// A replica part's world: the caller's world snapshot plus its own source
+/// plan, whose live resolvers the body attaches for the part only
+/// (declared after the world, so they are destroyed before it).
 struct SourcedReplica : Testbed {
-  SourcedReplica(const Testbed& caller, const ProductionConfig& config,
-                 const std::vector<std::size_t>& part)
-      : Testbed{caller.world()},
-        sources{build_sources(*this, config, &part)} {}
+  SourcedReplica(const Testbed& caller, const ProductionConfig& config)
+      : Testbed{caller.world()}, sources{plan_sources(*this, config)} {}
   std::vector<std::unique_ptr<Source>> sources;
 };
 
@@ -241,9 +255,10 @@ ProductionResult run_production(Testbed& testbed,
   // The busy-recursive population's identity always exists in full on
   // every world (so addresses and node ids never depend on the shard
   // count); shards only split whose traffic — and whose live resolver
-  // state — is replayed where.
+  // state — is replayed where. Part 0 attaches its own sources' resolvers
+  // to this testbed.
   std::vector<std::unique_ptr<Source>> sources =
-      build_sources(testbed, config);
+      plan_sources(testbed, config);
 
   ProductionResult result;
   ClientCounts counts(observed.size());
@@ -263,8 +278,8 @@ ProductionResult run_production(Testbed& testbed,
              return pack_groups(singletons, rates, shards);
            },
        .setup =
-           [&](const Part& part) -> std::unique_ptr<Testbed> {
-             return std::make_unique<SourcedReplica>(testbed, config, part);
+           [&](const Part&) -> std::unique_ptr<Testbed> {
+             return std::make_unique<SourcedReplica>(testbed, config);
            },
        .body =
            [&](Testbed& world, const Part& part) {

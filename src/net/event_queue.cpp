@@ -22,7 +22,7 @@ constexpr std::uint32_t id_gen(EventId id) noexcept {
 
 }  // namespace
 
-EventId EventQueue::push(SimTime at, EventFn fn) {
+EventId EventQueue::push_ranked(SimTime at, std::uint64_t rank, EventFn fn) {
   std::uint32_t slot;
   if (free_head_ != kNoSlot) {
     slot = free_head_;
@@ -35,7 +35,7 @@ EventId EventQueue::push(SimTime at, EventFn fn) {
   ++s.gen;  // even -> odd: live
   s.fn = std::move(fn);
 
-  heap_.push_back(Entry{at, next_seq_++, slot, s.gen});
+  heap_.push_back(Entry{at, rank, slot, s.gen});
   sift_up(heap_.size() - 1);
   ++live_;
   return make_id(slot, s.gen);

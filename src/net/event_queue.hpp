@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "net/event_fn.hpp"
@@ -28,7 +29,21 @@ using EventId = std::uint64_t;
 class EventQueue {
  public:
   /// Schedules `fn` at absolute time `at`. Returns a handle for cancel().
-  EventId push(SimTime at, EventFn fn);
+  EventId push(SimTime at, EventFn fn) {
+    return push_ranked(at, next_seq_++, std::move(fn));
+  }
+
+  /// Reserves `n` consecutive tie-break ranks and returns the first. An
+  /// event later pushed with push_ranked() and one of them orders among
+  /// equal times exactly as if push() had scheduled it at reservation time.
+  std::uint64_t reserve_ranks(std::uint64_t n) noexcept {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+
+  /// push() with a rank from reserve_ranks(), each used at most once.
+  EventId push_ranked(SimTime at, std::uint64_t rank, EventFn fn);
 
   /// Cancels a pending event; no-op if it already fired or was cancelled.
   void cancel(EventId id);

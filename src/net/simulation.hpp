@@ -43,10 +43,21 @@ class Simulation {
 
   /// Schedules `fn` at absolute time `t` (must be >= now()).
   EventId at(SimTime t, EventFn fn) {
-    const EventId id = queue_.push(t, std::move(fn));
-    ++pushes_;
-    if (queue_.size() > peak_raw_) peak_raw_ = queue_.size();
-    return id;
+    return counted(queue_.push(t, std::move(fn)));
+  }
+
+  /// Reserves `n` tie-break ranks for at_rank(). A producer of a long
+  /// series reserves one rank per member up front and schedules each
+  /// member only when the one before it fires: the queue holds one event
+  /// per series, yet every member fires exactly where scheduling them all
+  /// at reservation time would have put it.
+  std::uint64_t reserve_ranks(std::uint64_t n) noexcept {
+    return queue_.reserve_ranks(n);
+  }
+
+  /// at() with a rank from reserve_ranks(), each used at most once.
+  EventId at_rank(SimTime t, std::uint64_t rank, EventFn fn) {
+    return counted(queue_.push_ranked(t, rank, std::move(fn)));
   }
 
   /// Schedules `fn` after relative delay `d` (clamped to >= 0).
@@ -97,6 +108,12 @@ class Simulation {
   }
 
  private:
+  EventId counted(EventId id) noexcept {
+    ++pushes_;
+    if (queue_.size() > peak_raw_) peak_raw_ = queue_.size();
+    return id;
+  }
+
   SimTime now_ = SimTime::origin();
   EventQueue queue_;
   stats::Rng rng_;

@@ -143,30 +143,23 @@ void MetricRegistry::merge_sum(const MetricsSnapshot& delta) {
 
 MetricsSnapshot MetricsSnapshot::delta_since(
     const MetricsSnapshot& baseline) const {
-  auto base_counter = [&baseline](const std::string& name) -> std::uint64_t {
-    for (const auto& c : baseline.counters) {
-      if (c.name == name) return c.value;
-    }
-    return 0;
-  };
-  auto base_hist =
-      [&baseline](const std::string& name) -> const HistogramValue* {
-    for (const auto& h : baseline.histograms) {
-      if (h.name == name) return &h;
-    }
-    return nullptr;
-  };
-
+  // Both snapshots are sorted by name (every producer keeps that order),
+  // so one merge walk pairs each entry with its baseline in linear time.
   MetricsSnapshot out = *this;
-  for (auto& c : out.counters) c.value -= base_counter(c.name);
+  auto b = baseline.counters.begin();
+  for (auto& c : out.counters) {
+    while (b != baseline.counters.end() && b->name < c.name) ++b;
+    if (b != baseline.counters.end() && b->name == c.name) c.value -= b->value;
+  }
+  auto bh = baseline.histograms.begin();
   for (auto& h : out.histograms) {
-    const HistogramValue* b = base_hist(h.name);
-    if (b == nullptr) continue;
-    for (std::size_t i = 0; i < h.counts.size() && i < b->counts.size();
+    while (bh != baseline.histograms.end() && bh->name < h.name) ++bh;
+    if (bh == baseline.histograms.end() || bh->name != h.name) continue;
+    for (std::size_t i = 0; i < h.counts.size() && i < bh->counts.size();
          ++i) {
-      h.counts[i] -= b->counts[i];
+      h.counts[i] -= bh->counts[i];
     }
-    h.total -= b->total;
+    h.total -= bh->total;
   }
   return out;
 }
@@ -229,10 +222,10 @@ std::string MetricsSnapshot::to_json(SnapshotStyle style) const {
 
 const MetricsSnapshot::CounterValue* MetricsSnapshot::find_counter(
     std::string_view name) const {
-  for (const auto& c : counters) {
-    if (c.name == name) return &c;
-  }
-  return nullptr;
+  const auto it = std::lower_bound(
+      counters.begin(), counters.end(), name,
+      [](const CounterValue& c, std::string_view n) { return c.name < n; });
+  return it != counters.end() && it->name == name ? &*it : nullptr;
 }
 
 std::uint64_t MetricsSnapshot::counter_value(std::string_view name) const {

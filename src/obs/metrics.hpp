@@ -161,7 +161,8 @@ struct MetricsSnapshot {
   /// The increments accumulated since `baseline` (an earlier snapshot of
   /// the same registry): counter values and histogram bins subtract;
   /// timestamps and gauges keep their current values. This is what a shard
-  /// contributes to the cross-shard merge.
+  /// contributes to the cross-shard merge. Linear: one merge walk over the
+  /// two name-sorted snapshots; a name missing on either side is skipped.
   [[nodiscard]] MetricsSnapshot delta_since(
       const MetricsSnapshot& baseline) const;
 
@@ -180,7 +181,7 @@ struct MetricsSnapshot {
   [[nodiscard]] std::string to_json(
       SnapshotStyle style = SnapshotStyle::Full) const;
 
-  /// The named counter's state, or nullptr when absent.
+  /// The named counter's state, or nullptr when absent (binary search).
   [[nodiscard]] const CounterValue* find_counter(std::string_view name) const;
   /// The named counter's value, or 0 when absent.
   [[nodiscard]] std::uint64_t counter_value(std::string_view name) const;

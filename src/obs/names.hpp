@@ -182,6 +182,10 @@ inline constexpr std::string_view kCampaignQueriesUnanswered =
     "campaign.queries.unanswered";
 /// Cache-busting lookups issued by the production traffic synthesizer.
 inline constexpr std::string_view kProductionLookups = "production.lookups";
+/// Live resolvers one world attached for the sources it replays (gauge:
+/// this world only, never merged across shards).
+inline constexpr std::string_view kProductionLiveResolvers =
+    "production.live_resolvers";
 
 // --- response-rate limiting (src/authns/server.cpp) ---------------------
 /// UDP responses suppressed by RRL.

@@ -6,49 +6,98 @@
 
 namespace recwild::resolver {
 
-CacheEntry* RecordCache::find_live(const dns::Name& name, dns::RRType type,
-                                   net::SimTime now) {
-  auto it = entries_.find(KeyView{name, type});
+dns::Ttl CacheEntry::ttl_at(net::SimTime now) const noexcept {
+  const double remaining = (expires_at - now).sec();
+  return static_cast<dns::Ttl>(std::max(0.0, remaining));
+}
+
+void CacheEntry::append_records(std::vector<dns::ResourceRecord>& out,
+                                net::SimTime now) const {
+  const dns::Ttl ttl = ttl_at(now);
+  for (const auto& rd : rrset.rdatas) {
+    out.push_back(dns::ResourceRecord{rrset.name, rrset.rrclass, ttl, rd});
+  }
+}
+
+template <class View>
+RecordCache::Slot* RecordCache::find_live(const View& view,
+                                          net::SimTime now) {
+  const auto it = entries_.find(view);
   if (it == entries_.end()) return nullptr;
-  if (it->second.entry.expires_at <= now) {
-    lru_.erase(it->second.lru_pos);
-    entries_.erase(it);
+  Slot& slot = it->second;
+  if (slot.entry.expires_at <= now) {
+    erase(it);
     return nullptr;
   }
-  touch(it->second);
-  return &it->second.entry;
+  touch(slot);
+  return &slot;
 }
 
-void RecordCache::touch(Slot& slot) {
-  // splice: O(1) relink, no node alloc/free, no Key copy; slot.lru_pos
-  // stays valid (splice never invalidates list iterators).
-  lru_.splice(lru_.begin(), lru_, slot.lru_pos);
+void RecordCache::touch(Slot& slot) noexcept {
+  if (newest_ == &slot) return;
+  unlink(slot);
+  link_front(slot);
 }
 
-std::optional<dns::RRset> RecordCache::get(const dns::Name& name,
-                                           dns::RRType type,
-                                           net::SimTime now) {
-  CacheEntry* e = find_live(name, type, now);
-  if (e == nullptr || e->negative) {
+void RecordCache::link_front(Slot& slot) noexcept {
+  slot.newer = nullptr;
+  slot.older = newest_;
+  if (newest_ != nullptr) newest_->newer = &slot;
+  newest_ = &slot;
+  if (oldest_ == nullptr) oldest_ = &slot;
+}
+
+void RecordCache::unlink(Slot& slot) noexcept {
+  (slot.newer != nullptr ? slot.newer->older : newest_) = slot.older;
+  (slot.older != nullptr ? slot.older->newer : oldest_) = slot.newer;
+}
+
+void RecordCache::erase(Map::iterator it) noexcept {
+  unlink(it->second);
+  entries_.erase(it);
+}
+
+const CacheEntry* RecordCache::count_positive(const Slot* slot,
+                                              net::SimTime now) {
+  if (slot == nullptr || slot->entry.negative) {
     ++misses_;
     if (obs_misses_ != nullptr) obs_misses_->add(1, now);
-    return std::nullopt;
+    return nullptr;
   }
   ++hits_;
   if (obs_hits_ != nullptr) obs_hits_->add(1, now);
-  dns::RRset out = e->rrset;
-  const double remaining = (e->expires_at - now).sec();
-  out.ttl = static_cast<dns::Ttl>(std::max(0.0, remaining));
-  return out;
+  return &slot->entry;
 }
 
-std::optional<dns::Rcode> RecordCache::get_negative(const dns::Name& name,
-                                                    dns::RRType type,
-                                                    net::SimTime now) {
-  CacheEntry* e = find_live(name, type, now);
-  if (e == nullptr || !e->negative) return std::nullopt;
+const CacheEntry* RecordCache::find(const dns::Name& name, dns::RRType type,
+                                    net::SimTime now) {
+  return count_positive(find_live(KeyView{name, type}, now), now);
+}
+
+const CacheEntry* RecordCache::find_suffix(const dns::Name& name,
+                                           std::size_t depth,
+                                           dns::RRType type,
+                                           net::SimTime now) {
+  return count_positive(find_live(SuffixView{name, depth, type}, now), now);
+}
+
+const CacheEntry* RecordCache::find_negative(const dns::Name& name,
+                                             dns::RRType type,
+                                             net::SimTime now) {
+  const Slot* slot = find_live(KeyView{name, type}, now);
+  if (slot == nullptr || !slot->entry.negative) return nullptr;
   if (obs_negative_hits_ != nullptr) obs_negative_hits_->add(1, now);
-  return e->negative_rcode;
+  return &slot->entry;
+}
+
+const CacheEntry* RecordCache::lookup(const dns::Name& name, dns::RRType type,
+                                      net::SimTime now) {
+  const Slot* slot = find_live(KeyView{name, type}, now);
+  if (slot != nullptr && slot->entry.negative) {
+    if (obs_negative_hits_ != nullptr) obs_negative_hits_->add(1, now);
+    return &slot->entry;
+  }
+  return count_positive(slot, now);
 }
 
 const dns::RRset* RecordCache::peek(const dns::Name& name, dns::RRType type,
@@ -60,14 +109,14 @@ const dns::RRset* RecordCache::peek(const dns::Name& name, dns::RRType type,
   return &e.rrset;
 }
 
-void RecordCache::put(const dns::RRset& rrset, net::SimTime now) {
+void RecordCache::put(dns::RRset rrset, net::SimTime now) {
   const dns::Ttl ttl =
       std::clamp(rrset.ttl, config_.min_ttl, config_.max_ttl);
   CacheEntry entry;
-  entry.rrset = rrset;
+  entry.rrset = std::move(rrset);
   entry.rrset.ttl = ttl;
   entry.expires_at = now + net::Duration::seconds(ttl);
-  insert(Key{rrset.name, rrset.type}, std::move(entry), now);
+  insert(entry.rrset.name, entry.rrset.type, std::move(entry), now);
 }
 
 void RecordCache::put_negative(const dns::Name& name, dns::RRType type,
@@ -81,26 +130,30 @@ void RecordCache::put_negative(const dns::Name& name, dns::RRType type,
   entry.expires_at =
       now + net::Duration::seconds(
                 std::clamp(ttl, config_.min_ttl, config_.max_ttl));
-  insert(Key{name, type}, std::move(entry), now);
+  insert(name, type, std::move(entry), now);
 }
 
-void RecordCache::insert(Key key, CacheEntry entry, net::SimTime now) {
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
+void RecordCache::insert(const dns::Name& name, dns::RRType type,
+                         CacheEntry&& entry, net::SimTime now) {
+  // Overwrite in place: the key and its LRU links stay, the slot moves to
+  // the front.
+  if (const auto it = entries_.find(KeyView{name, type});
+      it != entries_.end()) {
     it->second.entry = std::move(entry);
     touch(it->second);
     return;
   }
-  while (entries_.size() >= config_.max_entries) evict_one(now);
-  lru_.push_front(key);
-  entries_.emplace(std::move(key), Slot{std::move(entry), lru_.begin()});
+  while (oldest_ != nullptr && entries_.size() >= config_.max_entries) {
+    evict_one(now);
+  }
+  const auto it = entries_.emplace(Key{name, type}, Slot{}).first;
+  it->second.entry = std::move(entry);
+  it->second.key = &it->first;
+  link_front(it->second);
 }
 
 void RecordCache::evict_one(net::SimTime now) {
-  if (lru_.empty()) return;
-  const Key victim = lru_.back();
-  lru_.pop_back();
-  entries_.erase(victim);
+  erase(entries_.find(*oldest_->key));
   ++evictions_;
   if (obs_evictions_ != nullptr) obs_evictions_->add(1, now);
 }
@@ -114,7 +167,8 @@ void RecordCache::attach_metrics(obs::MetricRegistry& registry) {
 
 void RecordCache::clear() {
   entries_.clear();
-  lru_.clear();
+  newest_ = nullptr;
+  oldest_ = nullptr;
 }
 
 }  // namespace recwild::resolver

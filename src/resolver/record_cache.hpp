@@ -8,9 +8,8 @@
 // see the probe traffic after the first resolution.
 #pragma once
 
-#include <list>
-#include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "dnscore/record.hpp"
 #include "net/time.hpp"
@@ -31,21 +30,64 @@ struct CacheEntry {
   bool negative = false;
   dns::Rcode negative_rcode = dns::Rcode::NoError;  // NXDOMAIN vs NODATA
   net::SimTime expires_at;
+
+  /// Whole seconds left to live at `now` (rrset.ttl is the stored TTL).
+  [[nodiscard]] dns::Ttl ttl_at(net::SimTime now) const noexcept;
+  /// Appends the RRset's records to `out` with the TTL decremented to
+  /// `now` — what a resolver answers from this entry.
+  void append_records(std::vector<dns::ResourceRecord>& out,
+                      net::SimTime now) const;
 };
 
+/// Reads borrow: every read returns a `const CacheEntry*` into the cache's
+/// own storage and copies nothing. A returned pointer stays valid until the
+/// next put()/put_negative()/clear(), or until a read at a later `now`
+/// finds that entry expired and erases it; reads at the same `now` never
+/// invalidate a pointer they did not return as null.
+///
+/// Counted reads (find, find_suffix, find_negative, lookup) record hits and
+/// misses, erase an entry they find expired and move a live one to the LRU
+/// front. peek() does none of that.
 class RecordCache {
  public:
   explicit RecordCache(RecordCacheConfig config = {}) : config_(config) {}
+  // The LRU links point into the map's own nodes: a copy would point into
+  // the original.
+  RecordCache(const RecordCache&) = delete;
+  RecordCache& operator=(const RecordCache&) = delete;
 
-  /// Positive lookup; the returned RRset's TTL is decremented to the time
-  /// remaining. Returns nullopt on miss/expired/negative.
-  std::optional<dns::RRset> get(const dns::Name& name, dns::RRType type,
-                                net::SimTime now);
+  /// The live positive entry for (name, type), or nullptr on
+  /// miss/expired/negative. Counts one hit or one miss.
+  [[nodiscard]] const CacheEntry* find(const dns::Name& name,
+                                       dns::RRType type, net::SimTime now);
 
-  /// Negative lookup: returns the stored rcode when a negative entry for
-  /// (name, type) is live.
-  std::optional<dns::Rcode> get_negative(const dns::Name& name,
+  /// find() for the suffix of `name` keeping its last `depth` labels
+  /// (depth <= name.label_count()): hashes and compares those labels in
+  /// place instead of building the suffix Name. Counts like find().
+  [[nodiscard]] const CacheEntry* find_suffix(const dns::Name& name,
+                                              std::size_t depth,
+                                              dns::RRType type,
+                                              net::SimTime now);
+
+  /// The live negative entry for (name, type), or nullptr. Counts a
+  /// negative hit when it returns one; a miss or a positive entry counts
+  /// nothing.
+  [[nodiscard]] const CacheEntry* find_negative(const dns::Name& name,
+                                                dns::RRType type,
+                                                net::SimTime now);
+
+  /// find_negative() and then find() in one probe: the live entry for
+  /// (name, type), negative or positive, or nullptr. Counts a negative hit,
+  /// a hit or a miss — exactly what the two calls in a row would count.
+  [[nodiscard]] const CacheEntry* lookup(const dns::Name& name,
                                          dns::RRType type, net::SimTime now);
+
+  /// find() under the name perfbench's rrcache layer times
+  /// (perfbench/layers.cpp); the resolver path calls find().
+  const CacheEntry* get(const dns::Name& name, dns::RRType type,
+                        net::SimTime now) {
+    return find(name, type, now);
+  }
 
   /// Metrics- and LRU-neutral probe: the live positive RRset for
   /// (name, type), or nullptr on miss/expired/negative. Counts nothing and
@@ -57,7 +99,7 @@ class RecordCache {
                                        net::SimTime now) const;
 
   /// Inserts/overwrites a positive RRset (TTL clamped to config bounds).
-  void put(const dns::RRset& rrset, net::SimTime now);
+  void put(dns::RRset rrset, net::SimTime now);
 
   /// Inserts a negative entry with the zone's negative TTL.
   void put_negative(const dns::Name& name, dns::RRType type, dns::Rcode rcode,
@@ -82,20 +124,31 @@ class RecordCache {
       return type == o.type && name == o.name;
     }
   };
-  /// Borrowed key for transparent lookups: find() probes with the caller's
-  /// Name instead of copying its label vector into a fresh Key per lookup
-  /// (that copy used to top the campaign profile).
+  /// Borrowed key for transparent lookups: probes with the caller's Name
+  /// instead of copying its label vector into a fresh Key per lookup.
   struct KeyView {
     const dns::Name& name;
     dns::RRType type;
   };
+  /// Borrowed key for the suffix of `name` keeping its last `depth` labels.
+  struct SuffixView {
+    const dns::Name& name;
+    std::size_t depth;
+    dns::RRType type;
+  };
+  static std::size_t mix(std::size_t name_hash, dns::RRType type) noexcept {
+    return name_hash ^ (static_cast<std::size_t>(type) * 0x9e3779b9);
+  }
   struct KeyHash {
     using is_transparent = void;
     std::size_t operator()(const Key& k) const noexcept {
-      return k.name.hash() ^ (static_cast<std::size_t>(k.type) * 0x9e3779b9);
+      return mix(k.name.hash(), k.type);
     }
     std::size_t operator()(const KeyView& k) const noexcept {
-      return k.name.hash() ^ (static_cast<std::size_t>(k.type) * 0x9e3779b9);
+      return mix(k.name.hash(), k.type);
+    }
+    std::size_t operator()(const SuffixView& k) const noexcept {
+      return mix(k.name.suffix_hash(k.depth), k.type);
     }
   };
   struct KeyEq {
@@ -105,23 +158,48 @@ class RecordCache {
       return a.type == b.type && a.name == b.name;
     }
     bool operator()(const KeyView& a, const Key& b) const {
-      return b.type == a.type && b.name == a.name;
+      return (*this)(b, a);
+    }
+    // The suffix equals the key when it has as many labels and the name
+    // lies under the key (case-insensitive, like Name::equals).
+    bool operator()(const Key& a, const SuffixView& b) const {
+      return a.type == b.type && a.name.label_count() == b.depth &&
+             b.name.is_subdomain_of(a.name);
+    }
+    bool operator()(const SuffixView& a, const Key& b) const {
+      return (*this)(b, a);
     }
   };
+  /// An entry plus its intrusive LRU links. `key` points at the map node's
+  /// own key (unordered_map nodes never move), so the LRU stores no second
+  /// copy of it.
   struct Slot {
     CacheEntry entry;
-    std::list<Key>::iterator lru_pos;
+    const Key* key = nullptr;
+    Slot* newer = nullptr;
+    Slot* older = nullptr;
   };
+  using Map = std::unordered_map<Key, Slot, KeyHash, KeyEq>;
 
-  CacheEntry* find_live(const dns::Name& name, dns::RRType type,
-                        net::SimTime now);
-  void touch(Slot& slot);
-  void insert(Key key, CacheEntry entry, net::SimTime now);
+  /// The live slot for `view`, moved to the LRU front; an expired one is
+  /// erased. Counts nothing.
+  template <class View>
+  Slot* find_live(const View& view, net::SimTime now);
+  const CacheEntry* count_positive(const Slot* slot, net::SimTime now);
+  /// Moves `slot` to the LRU front.
+  void touch(Slot& slot) noexcept;
+  void link_front(Slot& slot) noexcept;
+  void unlink(Slot& slot) noexcept;
+  void erase(Map::iterator it) noexcept;
+  /// `name` may point into `entry`: it is read before `entry` moves.
+  void insert(const dns::Name& name, dns::RRType type, CacheEntry&& entry,
+              net::SimTime now);
   void evict_one(net::SimTime now);
 
   RecordCacheConfig config_;
-  std::unordered_map<Key, Slot, KeyHash, KeyEq> entries_;
-  std::list<Key> lru_;  // front = most recent
+  Map entries_;
+  Slot* newest_ = nullptr;  // LRU front
+  Slot* oldest_ = nullptr;  // LRU back: the next eviction victim
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;

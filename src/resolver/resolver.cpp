@@ -153,24 +153,27 @@ void RecursiveResolver::resolve(const dns::Question& q, ResolveCallback cb) {
 void RecursiveResolver::admit(const dns::Question& q,
                               std::vector<ResolveCallback> cbs) {
   const net::SimTime now = network_.sim().now();
+  // The question's one inflight_ search; every path below hands its result
+  // on to resolve_internal instead of searching again.
+  const auto inflight = inflight_.find(PendingView{q.qname, q.qtype});
   // Duplicate of an in-flight chain: join its waiter list — one upstream
   // fetch tree answers everyone, and the join never consumes a slot.
-  if (const auto it = inflight_.find(PendingView{q.qname, q.qtype});
-      it != inflight_.end()) {
-    if (const auto job = it->second.lock(); job && !job->done) {
+  if (inflight != inflight_.end()) {
+    if (const auto job = inflight->second.lock(); job && !job->done) {
       obs_coalesced_->add(1, now);
-      resolve_internal(q, std::move(cbs), nullptr, /*admitted=*/false);
+      for (auto& cb : cbs) job->callbacks.push_back(std::move(cb));
       return;
     }
   }
   // A live cached RRset answers synchronously: bypass admission (queueing
   // a pure cache hit behind upstream-bound work would be pointless).
   // peek() is metrics/LRU-neutral and uses the SAME expiry boundary as
-  // get() (expires_at <= now is expired): a question arriving exactly at
+  // lookup() (expires_at <= now is expired): a question arriving exactly at
   // expiry must take the admitted upstream path, never this bypass — a
   // disagreement would leak unadmitted upstream chains past the cap.
   if (cache_.peek(q.qname, q.qtype, now) != nullptr) {
-    resolve_internal(q, std::move(cbs), nullptr, /*admitted=*/false);
+    resolve_internal(q, std::move(cbs), nullptr, /*admitted=*/false,
+                     inflight);
     return;
   }
   // 0 = no cap: nothing ever queues.
@@ -200,7 +203,7 @@ void RecursiveResolver::admit(const dns::Question& q,
   }
   ++client_inflight_;
   obs_inflight_->max_of(static_cast<double>(client_inflight_), now);
-  resolve_internal(q, std::move(cbs), nullptr, /*admitted=*/true);
+  resolve_internal(q, std::move(cbs), nullptr, /*admitted=*/true, inflight);
 }
 
 void RecursiveResolver::drain_admission_queue() {
@@ -218,11 +221,11 @@ void RecursiveResolver::drain_admission_queue() {
     admission_queue_.pop_front();
     // An identical chain may have started while this entry waited (internal
     // NS fetches bypass admission); joining it consumes no slot.
+    const auto inflight = inflight_.find(
+        PendingView{next.question.qname, next.question.qtype});
     bool join = false;
-    if (const auto it = inflight_.find(
-            PendingView{next.question.qname, next.question.qtype});
-        it != inflight_.end()) {
-      const auto job = it->second.lock();
+    if (inflight != inflight_.end()) {
+      const auto job = inflight->second.lock();
       join = job && !job->done;
     }
     if (!join) {
@@ -231,7 +234,7 @@ void RecursiveResolver::drain_admission_queue() {
                             network_.sim().now());
     }
     resolve_internal(next.question, std::move(next.callbacks), nullptr,
-                     /*admitted=*/!join);
+                     /*admitted=*/!join, inflight);
   }
   draining_ = false;
 }
@@ -277,15 +280,14 @@ void RecursiveResolver::fire_deadline_batch(std::int64_t key) {
 
 void RecursiveResolver::resolve_internal(
     const dns::Question& q, std::vector<ResolveCallback> cbs,
-    std::shared_ptr<std::uint32_t> fetch_budget, bool admitted) {
+    std::shared_ptr<std::uint32_t> fetch_budget, bool admitted,
+    InflightMap::iterator inflight) {
   // Coalesce identical in-flight questions.
-  if (const auto it = inflight_.find(PendingView{q.qname, q.qtype});
-      it != inflight_.end()) {
-    if (auto job = it->second.lock(); job && !job->done) {
+  if (inflight != inflight_.end()) {
+    if (auto job = inflight->second.lock(); job && !job->done) {
       for (auto& cb : cbs) job->callbacks.push_back(std::move(cb));
       return;
     }
-    inflight_.erase(it);
   }
   auto job = std::make_shared<Job>();
   job->original = q;
@@ -294,7 +296,13 @@ void RecursiveResolver::resolve_internal(
   job->started_at = network_.sim().now();
   job->fetch_budget = std::move(fetch_budget);
   job->admitted = admitted;
-  inflight_.insert_or_assign(PendingKey{q.qname, q.qtype}, job);
+  // A finished chain's stale entry is reused in place: no second search, no
+  // key copy.
+  if (inflight != inflight_.end()) {
+    inflight->second = job;
+  } else {
+    inflight_.emplace(PendingKey{q.qname, q.qtype}, job);
+  }
   arm_deadline(job);
   step(job);
 }
@@ -345,45 +353,43 @@ void RecursiveResolver::on_client_datagram(const net::Datagram& dgram) {
   });
 }
 
-void RecursiveResolver::find_zone_cut(const dns::Name& qname, dns::Name& zone,
-                                      std::vector<net::IpAddress>& servers) {
+std::size_t RecursiveResolver::find_zone_cut(
+    const dns::Name& qname, std::vector<net::IpAddress>& servers) {
   const net::SimTime now = network_.sim().now();
-  // Deepest cached NS set with at least one resolvable address wins.
+  servers.clear();
+  // Deepest cached NS set with at least one resolvable address wins. Every
+  // read borrows from the cache: no suffix Name, no RRset copy.
   for (std::size_t depth = qname.label_count(); depth > 0; --depth) {
-    const dns::Name candidate = suffix_of(qname, depth);
-    auto ns_set = cache_.get(candidate, dns::RRType::NS, now);
-    if (!ns_set) continue;
-    std::vector<net::IpAddress> addrs;
-    for (const auto& rd : ns_set->rdatas) {
+    const CacheEntry* ns_set =
+        cache_.find_suffix(qname, depth, dns::RRType::NS, now);
+    if (ns_set == nullptr) continue;
+    for (const auto& rd : ns_set->rrset.rdatas) {
       const auto& ns_name = std::get<dns::NsRdata>(rd).nsdname;
       if (config_.family != AddressFamily::V4Only) {
-        if (auto aaaa_set = cache_.get(ns_name, dns::RRType::AAAA, now)) {
-          for (const auto& ard : aaaa_set->rdatas) {
+        if (const CacheEntry* aaaa_set =
+                cache_.find(ns_name, dns::RRType::AAAA, now)) {
+          for (const auto& ard : aaaa_set->rrset.rdatas) {
             if (auto addr = net::IpAddress::from_mapped_ipv6(
                     std::get<dns::AaaaRdata>(ard).address)) {
-              addrs.push_back(*addr);
+              servers.push_back(*addr);
             }
           }
         }
       }
       if (config_.family != AddressFamily::V6Only) {
-        if (auto a_set = cache_.get(ns_name, dns::RRType::A, now)) {
-          for (const auto& ard : a_set->rdatas) {
-            addrs.push_back(std::get<dns::ARdata>(ard).address);
+        if (const CacheEntry* a_set =
+                cache_.find(ns_name, dns::RRType::A, now)) {
+          for (const auto& ard : a_set->rrset.rdatas) {
+            servers.push_back(std::get<dns::ARdata>(ard).address);
           }
         }
       }
     }
-    if (!addrs.empty()) {
-      zone = candidate;
-      servers = std::move(addrs);
-      return;
-    }
+    if (!servers.empty()) return depth;
   }
   // Fall back to the root hints.
-  zone = dns::Name{};
-  servers.clear();
   for (const auto& h : hints_) servers.push_back(h.address);
+  return 0;
 }
 
 void RecursiveResolver::step(const std::shared_ptr<Job>& job) {
@@ -392,36 +398,30 @@ void RecursiveResolver::step(const std::shared_ptr<Job>& job) {
 
   // Cache walk: negative entries, direct answers, CNAME chases.
   for (;;) {
-    if (auto neg = cache_.get_negative(job->current_name,
-                                       job->original.qtype, now)) {
+    if (const CacheEntry* e =
+            cache_.lookup(job->current_name, job->original.qtype, now)) {
       if (trace_->enabled()) {
-        trace_->record({now, obs::TraceKind::NegCacheHit, config_.name,
-                        job->current_name.to_string(),
+        trace_->record({now,
+                        e->negative ? obs::TraceKind::NegCacheHit
+                                    : obs::TraceKind::CacheHit,
+                        config_.name, job->current_name.to_string(),
                         std::string{dns::to_string(job->original.qtype)},
                         0.0});
       }
-      finish(job, *neg);
-      return;
-    }
-    if (auto set = cache_.get(job->current_name, job->original.qtype, now)) {
-      if (trace_->enabled()) {
-        trace_->record({now, obs::TraceKind::CacheHit, config_.name,
-                        job->current_name.to_string(),
-                        std::string{dns::to_string(job->original.qtype)},
-                        0.0});
+      if (e->negative) {
+        finish(job, e->negative_rcode);
+        return;
       }
-      for (auto& rr : set->to_records()) job->chain.push_back(std::move(rr));
+      e->append_records(job->chain, now);
       finish(job, dns::Rcode::NoError);
       return;
     }
     if (job->original.qtype != dns::RRType::CNAME) {
-      if (auto cname = cache_.get(job->current_name, dns::RRType::CNAME,
-                                  now)) {
-        for (auto& rr : cname->to_records()) {
-          job->chain.push_back(std::move(rr));
-        }
+      if (const CacheEntry* cname =
+              cache_.find(job->current_name, dns::RRType::CNAME, now)) {
+        cname->append_records(job->chain, now);
         job->current_name =
-            std::get<dns::CnameRdata>(cname->rdatas.front()).target;
+            std::get<dns::CnameRdata>(cname->rrset.rdatas.front()).target;
         job->min_labels = 0;  // restart minimization for the new target
         if (++job->indirections > config_.max_indirections) {
           finish(job, dns::Rcode::ServFail);
@@ -438,32 +438,35 @@ void RecursiveResolver::step(const std::shared_ptr<Job>& job) {
     return;
   }
 
-  dns::Name zone;
-  std::vector<net::IpAddress> servers;
-  find_zone_cut(job->current_name, zone, servers);
-  if (servers.empty()) {
+  // The cut's servers land in the reused candidates_ scratch, which the
+  // filters below narrow in place; nothing between here and the send runs
+  // a callback that could re-enter step() and overwrite it.
+  std::vector<net::IpAddress>& candidates = candidates_;
+  const std::size_t cut = find_zone_cut(job->current_name, candidates);
+  if (candidates.empty()) {
     finish(job, dns::Rcode::ServFail);
     return;
   }
-  if (!(zone == job->current_zone)) {
+  // A new cut is built as a Name only when it differs from the job's
+  // current zone: same label count and current_name under it.
+  if (cut != job->current_zone.label_count() ||
+      !job->current_name.is_subdomain_of(job->current_zone)) {
     job->failed_servers.clear();
-    job->current_zone = zone;
+    job->current_zone = suffix_of(job->current_name, cut);
   }
+  const dns::Name& zone = job->current_zone;
   // Avoid servers that already failed this round, when alternatives exist.
   // Forwarder-style policies instead retry the same server.
-  std::vector<net::IpAddress> candidates;
-  if (selector_->prefers_retry_same()) {
-    candidates = servers;
-  } else {
-    for (const auto& s : servers) {
-      if (std::find(job->failed_servers.begin(), job->failed_servers.end(),
-                    s) == job->failed_servers.end()) {
-        candidates.push_back(s);
-      }
-    }
-    if (candidates.empty()) {
+  if (!selector_->prefers_retry_same()) {
+    const auto failed = [&job](net::IpAddress s) {
+      return std::find(job->failed_servers.begin(),
+                       job->failed_servers.end(),
+                       s) != job->failed_servers.end();
+    };
+    if (std::all_of(candidates.begin(), candidates.end(), failed)) {
       job->failed_servers.clear();  // second round: retry everyone
-      candidates = servers;
+    } else {
+      std::erase_if(candidates, failed);
     }
   }
   if (trace_->enabled()) {
@@ -481,18 +484,20 @@ void RecursiveResolver::step(const std::shared_ptr<Job>& job) {
   net::IpAddress probe_target{};
   bool probe_due = false;
   {
-    std::vector<net::IpAddress> healthy;
-    healthy.reserve(candidates.size());
-    for (const auto& s : candidates) {
+    // In-place filter to the healthy servers; with none healthy nothing
+    // was overwritten and the full list stands.
+    std::size_t healthy = 0;
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      const net::IpAddress s = candidates[i];
       const ServerStats* st = infra_.get(s, now);
       if (st == nullptr || !st->in_holddown(now)) {
-        healthy.push_back(s);
+        candidates[healthy++] = s;
       } else if (st->probe_due(now) && (!probe_due || s < probe_target)) {
         probe_target = s;
         probe_due = true;
       }
     }
-    if (!healthy.empty()) candidates = std::move(healthy);
+    if (healthy > 0) candidates.resize(healthy);
   }
   if (probe_due) {
     infra_.note_probe(probe_target, now);
@@ -707,19 +712,19 @@ void RecursiveResolver::cache_message_records(const dns::Message& resp,
   auto in_bailiwick = [&](const dns::Name& owner) {
     return owner.is_subdomain_of(server_zone);
   };
-  for (const auto& set : dns::group_rrsets(resp.answers)) {
-    if (in_bailiwick(set.name)) cache_.put(set, now);
+  for (auto& set : dns::group_rrsets(resp.answers)) {
+    if (in_bailiwick(set.name)) cache_.put(std::move(set), now);
   }
-  for (const auto& set : dns::group_rrsets(resp.authorities)) {
+  for (auto& set : dns::group_rrsets(resp.authorities)) {
     if ((set.type == dns::RRType::NS || set.type == dns::RRType::SOA) &&
         in_bailiwick(set.name)) {
-      cache_.put(set, now);
+      cache_.put(std::move(set), now);
     }
   }
-  for (const auto& set : dns::group_rrsets(resp.additionals)) {
+  for (auto& set : dns::group_rrsets(resp.additionals)) {
     if ((set.type == dns::RRType::A || set.type == dns::RRType::AAAA) &&
         in_bailiwick(set.name)) {
-      cache_.put(set, now);
+      cache_.put(std::move(set), now);
     }
   }
 }
@@ -851,7 +856,7 @@ void RecursiveResolver::handle_response(const std::shared_ptr<Job>& job,
 bool RecursiveResolver::has_cached_address(const dns::Name& ns_name,
                                            net::SimTime now) {
   // Mirrors the family filter of find_zone_cut: an address only counts if
-  // the zone-cut walk could actually use it. peek(), not get(): this is
+  // the zone-cut walk could actually use it. peek(), not find(): this is
   // fetch-limit bookkeeping, not a client lookup — it must not count
   // hits/misses or reorder the LRU.
   if (config_.family != AddressFamily::V4Only) {
@@ -918,7 +923,7 @@ bool RecursiveResolver::maybe_fetch_ns_addresses(
   // amplification the negative cache kills between attack waves. Budget is
   // only charged for fetches actually spawned.
   std::erase_if(targets, [&](const dns::Name& t) {
-    return cache_.get_negative(t, addr_type, now).has_value();
+    return cache_.find_negative(t, addr_type, now) != nullptr;
   });
   if (targets.empty()) {
     // Every usable server of the child zone is refuted knowledge:
@@ -953,7 +958,8 @@ bool RecursiveResolver::maybe_fetch_ns_addresses(
     // behind the client resolutions that spawned them would deadlock.
     resolve_internal(dns::Question{target, addr_type, dns::RRClass::IN},
                      std::move(fetch_cbs), job->fetch_budget,
-                     /*admitted=*/false);
+                     /*admitted=*/false,
+                     inflight_.find(PendingView{target, addr_type}));
   }
   return true;
 }
@@ -1003,7 +1009,7 @@ void RecursiveResolver::finish(const std::shared_ptr<Job>& job,
   obs_resolve_hist_->observe((now - job->started_at).ms(), now);
   ResolveOutcome outcome;
   outcome.rcode = rcode;
-  outcome.answers = job->chain;
+  outcome.answers = std::move(job->chain);
   outcome.elapsed = network_.sim().now() - job->started_at;
   outcome.upstream_queries = job->upstream_count;
   if (const auto it = inflight_.find(

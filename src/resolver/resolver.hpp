@@ -186,6 +186,44 @@ class RecursiveResolver {
  private:
   struct Job;
 
+  // Keys of query coalescing (inflight_) and admission (queued_). Lookups
+  // and erases go through the borrowed PendingView so the per-query fast
+  // path never copies a Name just to probe a map.
+  struct PendingKey {
+    dns::Name name;
+    dns::RRType type;
+    bool operator==(const PendingKey& o) const {
+      return type == o.type && name == o.name;
+    }
+  };
+  struct PendingView {
+    const dns::Name& name;
+    dns::RRType type;
+  };
+  struct PendingKeyHash {
+    using is_transparent = void;
+    std::size_t operator()(const PendingKey& k) const noexcept {
+      return k.name.hash() ^ (static_cast<std::size_t>(k.type) << 1);
+    }
+    std::size_t operator()(const PendingView& k) const noexcept {
+      return k.name.hash() ^ (static_cast<std::size_t>(k.type) << 1);
+    }
+  };
+  struct PendingKeyEq {
+    using is_transparent = void;
+    bool operator()(const PendingKey& a, const PendingKey& b) const {
+      return a == b;
+    }
+    bool operator()(const PendingKey& a, const PendingView& b) const {
+      return a.type == b.type && a.name == b.name;
+    }
+    bool operator()(const PendingView& a, const PendingKey& b) const {
+      return b.type == a.type && b.name == a.name;
+    }
+  };
+  using InflightMap = std::unordered_map<PendingKey, std::weak_ptr<Job>,
+                                         PendingKeyHash, PendingKeyEq>;
+
   /// resolve() plus a shared NS-fetch budget carried into the new job, so
   /// glueless chains nested under an NXNS-style referral spend their
   /// parent's max_fetches_per_resolution allowance, not a fresh one.
@@ -193,11 +231,13 @@ class RecursiveResolver {
   /// drains with every coalesced callback it accumulated, and a chain that
   /// completes synchronously (cache hit) must answer all of them.
   /// `admitted` marks a resolution holding an admission slot — finish()
-  /// releases it and drains the queue.
+  /// releases it and drains the queue. `inflight` is the caller's
+  /// inflight_.find() for `q` (end() when absent), so one question is
+  /// searched for once.
   void resolve_internal(const dns::Question& q,
                         std::vector<ResolveCallback> cbs,
                         std::shared_ptr<std::uint32_t> fetch_budget,
-                        bool admitted);
+                        bool admitted, InflightMap::iterator inflight);
   /// The one front door of every client resolution: join / cache-bypass /
   /// start / queue / reject, in that order (see
   /// ResolverConfig::max_inflight_resolutions).
@@ -217,9 +257,11 @@ class RecursiveResolver {
   /// Advances a job: cache checks, zone-cut discovery, upstream send.
   void step(const std::shared_ptr<Job>& job);
   /// Finds the deepest zone cut with cached/known server addresses for
-  /// `qname`. Fills `zone` and `servers`; falls back to root hints.
-  void find_zone_cut(const dns::Name& qname, dns::Name& zone,
-                     std::vector<net::IpAddress>& servers);
+  /// `qname`: refills `servers` and returns the cut's label count (the
+  /// zone is qname's suffix of that many labels). Falls back to the root
+  /// hints at 0. Reads the cache by reference and builds no Name.
+  std::size_t find_zone_cut(const dns::Name& qname,
+                            std::vector<net::IpAddress>& servers);
   struct Outstanding;
   void send_upstream(const std::shared_ptr<Job>& job, const dns::Name& zone,
                      net::IpAddress server, bool via_tcp = false);
@@ -291,6 +333,9 @@ class RecursiveResolver {
     dns::Name zone;
   };
   std::unordered_map<std::uint64_t, Outstanding> outstanding_;  // by txkey
+  /// step()'s server list, reused across calls so the per-step zone-cut
+  /// walk and candidate filters allocate nothing once it has grown.
+  std::vector<net::IpAddress> candidates_;
   std::uint64_t next_txkey_ = 1;
   /// Outstanding transmissions per target zone, maintained only while
   /// fetches_per_zone > 0 so default-config worlds pay nothing.
@@ -305,44 +350,8 @@ class RecursiveResolver {
   /// query of ours ever asked that name — drop, like a failed scan would).
   dns::NameTable qnames_;
 
-  // Query coalescing: (qname,type) -> job waiting upstream. Lookups and
-  // erases go through the borrowed PendingView so the per-query fast path
-  // never copies a Name just to probe the map.
-  struct PendingKey {
-    dns::Name name;
-    dns::RRType type;
-    bool operator==(const PendingKey& o) const {
-      return type == o.type && name == o.name;
-    }
-  };
-  struct PendingView {
-    const dns::Name& name;
-    dns::RRType type;
-  };
-  struct PendingKeyHash {
-    using is_transparent = void;
-    std::size_t operator()(const PendingKey& k) const noexcept {
-      return k.name.hash() ^ (static_cast<std::size_t>(k.type) << 1);
-    }
-    std::size_t operator()(const PendingView& k) const noexcept {
-      return k.name.hash() ^ (static_cast<std::size_t>(k.type) << 1);
-    }
-  };
-  struct PendingKeyEq {
-    using is_transparent = void;
-    bool operator()(const PendingKey& a, const PendingKey& b) const {
-      return a == b;
-    }
-    bool operator()(const PendingKey& a, const PendingView& b) const {
-      return a.type == b.type && a.name == b.name;
-    }
-    bool operator()(const PendingView& a, const PendingKey& b) const {
-      return b.type == a.type && b.name == a.name;
-    }
-  };
-  std::unordered_map<PendingKey, std::weak_ptr<Job>, PendingKeyHash,
-                     PendingKeyEq>
-      inflight_;
+  // Query coalescing: (qname,type) -> job waiting upstream.
+  InflightMap inflight_;
 
   // Admission state (see admit()). The queue is a
   // deque so queued_ can hold stable pointers into it: push_back/pop_front

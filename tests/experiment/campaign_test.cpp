@@ -1,8 +1,12 @@
 #include "experiment/campaign.hpp"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "experiment/analysis.hpp"
+#include "experiment/deployments.hpp"
+#include "obs/names.hpp"
 
 namespace recwild::experiment {
 namespace {
@@ -14,6 +18,27 @@ Testbed small_testbed(std::vector<std::string> sites, std::uint64_t seed = 21,
   cfg.population.probes = probes;
   cfg.test_sites = std::move(sites);
   return Testbed{cfg};
+}
+
+TEST(Campaign, PendingEventsStayNearTheVpCount) {
+  // Each VP holds one pending probe at a time (probe k queues probe k+1
+  // when it fires), so the queue's high-water mark is the VP count plus
+  // the few resolutions in flight — not VPs × probes.
+  auto tb = small_testbed(combination("2C").sites, 21, 300);
+  CampaignConfig cc;
+  cc.queries_per_vp = 31;
+  const auto result = run_campaign(tb, cc);
+  const auto& gauges = result.metrics.gauges;
+  const auto peak = std::find_if(gauges.begin(), gauges.end(),
+                                 [](const obs::MetricsSnapshot::GaugeValue& g) {
+                                   return g.name ==
+                                          obs::names::kSimQueuePeakPending;
+                                 });
+  ASSERT_NE(peak, gauges.end());
+  EXPECT_GE(peak->value, 300.0);
+  EXPECT_LE(peak->value, 300.0 + 64.0);
+  EXPECT_EQ(result.metrics.counter_value(obs::names::kCampaignQueriesSent),
+            300u * 31u);
 }
 
 TEST(Campaign, CollectsOneObservationPerVp) {

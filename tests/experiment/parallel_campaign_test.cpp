@@ -8,6 +8,7 @@
 #include "experiment/campaign.hpp"
 #include "experiment/export.hpp"
 #include "experiment/production.hpp"
+#include "obs/names.hpp"
 
 namespace recwild::experiment {
 namespace {
@@ -141,6 +142,37 @@ TEST(ParallelProduction, ShardsDoNotChangeResults) {
   }
   EXPECT_EQ(serial.mean_rank_share, sharded.mean_rank_share);
   EXPECT_EQ(serial.fraction_querying, sharded.fraction_querying);
+}
+
+TEST(ParallelProduction, CallerTestbedAttachesOnlyPartZerosResolvers) {
+  // Every world plans all sources (identity), but attaches a live resolver
+  // only for the sources it replays: at shards = 2 the caller's testbed
+  // holds part 0's, each replica its own part's.
+  const auto live_resolvers = [](std::size_t shards, RunStats& stats) {
+    TestbedConfig cfg;
+    cfg.seed = 5;
+    cfg.population.probes = 0;
+    Testbed tb{cfg};
+    ProductionConfig pc;
+    pc.recursives = 60;
+    pc.duration_hours = 0.1;
+    pc.min_queries = 5;
+    pc.shards = shards;
+    const auto result = run_production(tb, pc);
+    stats = result.run_stats;
+    for (const auto& g : result.metrics.gauges) {
+      if (g.name == obs::names::kProductionLiveResolvers) return g.value;
+    }
+    return -1.0;
+  };
+  RunStats serial;
+  EXPECT_EQ(live_resolvers(1, serial), 60.0);
+  RunStats two;
+  const double caller = live_resolvers(2, two);
+  ASSERT_EQ(two.shards.size(), 2u);
+  EXPECT_EQ(two.shards[0].units + two.shards[1].units, 60u);
+  EXPECT_GT(two.shards[1].units, 0u);
+  EXPECT_EQ(caller, static_cast<double>(two.shards[0].units));
 }
 
 }  // namespace

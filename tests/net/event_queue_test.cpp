@@ -37,6 +37,21 @@ TEST(EventQueue, TiesBreakByInsertionOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+TEST(EventQueue, RankedPushTiesAsIfPushedAtReservation) {
+  // Ranks reserved before a plain push at the same time: the ranked events,
+  // pushed later and in reverse, still fire first and in rank order; time
+  // still orders before rank.
+  EventQueue q;
+  std::vector<int> order;
+  const std::uint64_t first = q.reserve_ranks(3);
+  q.push(at_ms(5), [&] { order.push_back(3); });
+  q.push_ranked(at_ms(5), first + 1, [&] { order.push_back(2); });
+  q.push_ranked(at_ms(5), first, [&] { order.push_back(1); });
+  q.push_ranked(at_ms(4), first + 2, [&] { order.push_back(0); });
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
 TEST(EventQueue, PopReportsFireTime) {
   EventQueue q;
   q.push(at_ms(42), [] {});

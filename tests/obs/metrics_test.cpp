@@ -1,5 +1,6 @@
 // MetricRegistry: handle semantics, snapshots, deltas, the shard-merge
 // fold, and the determinism of the JSON export.
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -101,6 +102,117 @@ TEST(Metrics, DeltaSinceSubtractsCountsAndKeepsTimestamps) {
   EXPECT_EQ(delta.histograms[0].total, 1u);
   EXPECT_EQ(delta.histograms[0].counts[0], 0u);
   EXPECT_EQ(delta.histograms[0].counts[1], 1u);
+}
+
+template <class Values>
+bool sorted_by_name(const Values& values) {
+  return std::is_sorted(values.begin(), values.end(),
+                        [](const auto& a, const auto& b) {
+                          return a.name < b.name;
+                        });
+}
+
+bool sorted_by_name(const MetricsSnapshot& snap) {
+  return sorted_by_name(snap.counters) && sorted_by_name(snap.gauges) &&
+         sorted_by_name(snap.histograms);
+}
+
+TEST(Metrics, EverySnapshotProducerKeepsNameOrder) {
+  // delta_since merge-walks and find_counter binary-searches, both relying
+  // on name order: snapshot() sorts, merge_sum feeds a registry whose next
+  // snapshot() sorts again, and delta_since/compact only subtract or drop
+  // entries of an already sorted snapshot.
+  MetricRegistry reg;
+  for (const char* name : {"test.z", "test.b", "test.m", "test.a"}) {
+    reg.counter(name).add(1, at_ms(1));
+    reg.gauge(name).set(1.0, at_ms(1));
+    reg.histogram(name, 0.0, 1.0, 1).observe(0.5, at_ms(1));
+  }
+  reg.counter("test.zero");
+  const MetricsSnapshot base = reg.snapshot();
+  EXPECT_TRUE(sorted_by_name(base));
+
+  MetricRegistry other;
+  other.counter("test.y").add(2, at_ms(2));
+  other.counter("test.c").add(2, at_ms(2));
+  other.histogram("test.k", 0.0, 1.0, 1).observe(0.5, at_ms(2));
+  reg.merge_sum(other.snapshot());
+  const MetricsSnapshot merged = reg.snapshot();
+  EXPECT_TRUE(sorted_by_name(merged));
+
+  MetricsSnapshot delta = merged.delta_since(base);
+  EXPECT_TRUE(sorted_by_name(delta));
+  delta.compact();
+  EXPECT_TRUE(sorted_by_name(delta));
+  ASSERT_EQ(delta.counters.size(), 2u);
+  EXPECT_EQ(delta.counters[0].name, "test.c");
+  EXPECT_EQ(delta.counters[1].name, "test.y");
+  EXPECT_EQ(delta.find_counter("test.y")->value, 2u);
+  EXPECT_EQ(delta.find_counter("test.a"), nullptr);
+  EXPECT_EQ(merged.counter_value("test.m"), 1u);
+  EXPECT_EQ(merged.counter_value("test.zz"), 0u);
+}
+
+/// delta_since as it was written before the merge walk: a linear scan of
+/// the baseline per entry. The reference the merge walk must reproduce.
+MetricsSnapshot delta_by_scan(const MetricsSnapshot& current,
+                              const MetricsSnapshot& baseline) {
+  MetricsSnapshot out = current;
+  for (auto& c : out.counters) {
+    for (const auto& b : baseline.counters) {
+      if (b.name == c.name) {
+        c.value -= b.value;
+        break;
+      }
+    }
+  }
+  for (auto& h : out.histograms) {
+    for (const auto& b : baseline.histograms) {
+      if (b.name != h.name) continue;
+      for (std::size_t i = 0; i < h.counts.size() && i < b.counts.size();
+           ++i) {
+        h.counts[i] -= b.counts[i];
+      }
+      h.total -= b.total;
+      break;
+    }
+  }
+  return out;
+}
+
+TEST(Metrics, DeltaSinceHandlesMissingAndExtraNames) {
+  // The baseline lacks test.new/test.hnew and holds test.gone/test.hgone,
+  // which the current snapshot lacks: entries without a partner pass
+  // through (current side) or are ignored (baseline side).
+  MetricRegistry before;
+  before.counter("test.a").add(2, at_ms(1));
+  before.counter("test.gone").add(9, at_ms(1));
+  before.counter("test.m").add(1, at_ms(1));
+  before.histogram("test.h", 0.0, 10.0, 2).observe(1.0, at_ms(1));
+  before.histogram("test.hgone", 0.0, 10.0, 2).observe(1.0, at_ms(1));
+  MetricRegistry now;
+  now.counter("test.a").add(5, at_ms(7));
+  now.counter("test.m").add(4, at_ms(7));
+  now.counter("test.new").add(3, at_ms(7));
+  now.histogram("test.h", 0.0, 10.0, 2).observe(1.0, at_ms(1));
+  now.histogram("test.h", 0.0, 10.0, 2).observe(9.0, at_ms(7));
+  now.histogram("test.hnew", 0.0, 10.0, 2).observe(9.0, at_ms(7));
+  const MetricsSnapshot baseline = before.snapshot();
+  const MetricsSnapshot current = now.snapshot();
+
+  const MetricsSnapshot delta = current.delta_since(baseline);
+  EXPECT_EQ(delta.to_json(SnapshotStyle::Full),
+            delta_by_scan(current, baseline).to_json(SnapshotStyle::Full));
+  EXPECT_EQ(delta.counter_value("test.a"), 3u);
+  EXPECT_EQ(delta.counter_value("test.m"), 3u);
+  EXPECT_EQ(delta.counter_value("test.new"), 3u);
+  EXPECT_EQ(delta.find_counter("test.gone"), nullptr);
+  ASSERT_EQ(delta.histograms.size(), 2u);
+  EXPECT_EQ(delta.histograms[0].name, "test.h");
+  EXPECT_EQ(delta.histograms[0].total, 1u);
+  EXPECT_EQ(delta.histograms[0].counts[1], 1u);
+  EXPECT_EQ(delta.histograms[1].name, "test.hnew");
+  EXPECT_EQ(delta.histograms[1].total, 1u);
 }
 
 TEST(Metrics, MergeSumAddsCountsAndMaxesTimestampsButSkipsGauges) {

@@ -119,12 +119,9 @@ TEST(Security, OutOfBailiwickRecordsNotCached) {
 
   // ...but the poison must NOT be in the cache: the A record for the
   // victim and the NS claim for its zone were outside the queried zone.
-  EXPECT_FALSE(res.cache()
-                   .get(victim, dns::RRType::A, sim.now())
-                   .has_value());
-  EXPECT_FALSE(res.cache()
-                   .get(victim.parent(), dns::RRType::NS, sim.now())
-                   .has_value());
+  EXPECT_EQ(res.cache().find(victim, dns::RRType::A, sim.now()), nullptr);
+  EXPECT_EQ(res.cache().find(victim.parent(), dns::RRType::NS, sim.now()),
+            nullptr);
 }
 
 TEST(Security, MismatchedResponsesIgnored) {
@@ -204,11 +201,12 @@ TEST(Security, MismatchedResponsesIgnored) {
   // 16-bit id space, 200 guesses, and the source address must also match:
   // the genuine answer must have won.
   EXPECT_EQ(answer, "legit");
-  const auto cached =
-      res.cache().get(dns::Name::parse("target.test"), dns::RRType::TXT,
-                      sim.now());
-  ASSERT_TRUE(cached.has_value());
-  EXPECT_EQ(std::get<dns::TxtRdata>(cached->rdatas[0]).strings[0], "legit");
+  const CacheEntry* cached =
+      res.cache().find(dns::Name::parse("target.test"), dns::RRType::TXT,
+                       sim.now());
+  ASSERT_NE(cached, nullptr);
+  EXPECT_EQ(std::get<dns::TxtRdata>(cached->rrset.rdatas[0]).strings[0],
+            "legit");
 }
 
 TEST(Security, LateResponseAfterTimeoutIgnored) {
@@ -261,10 +259,9 @@ TEST(Security, LateResponseAfterTimeoutIgnored) {
   EXPECT_GE(res.upstream_timeouts(), 3u);
   // The late answers arrived and were dropped without crashing; the
   // record was NOT cached from a dead transaction.
-  EXPECT_FALSE(res.cache()
-                   .get(dns::Name::parse("slow.test"), dns::RRType::TXT,
-                        sim.now())
-                   .has_value());
+  EXPECT_EQ(res.cache().find(dns::Name::parse("slow.test"), dns::RRType::TXT,
+                             sim.now()),
+            nullptr);
 }
 
 
